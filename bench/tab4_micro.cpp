@@ -19,6 +19,7 @@
 #include "ring/mpmc_ring.hpp"
 #include "ring/spsc_ring.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/rng.hpp"
 #include "stats/cacheline.hpp"
 #include "stats/histogram.hpp"
 #include "telem/flight_recorder.hpp"
@@ -271,16 +272,58 @@ static void BM_BuildUdpFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildUdpFrame);
 
-static void BM_ChecksumFrame(benchmark::State& state) {
-  std::vector<std::byte> buf(state.range(0));
+// RFC 1071 kernel over `len` bytes starting `offset` bytes into an aligned
+// buffer. 20 B is an IPv4 header; 1500 B a full frame.
+static void checksum_rows(benchmark::State& state, std::size_t offset) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  std::vector<std::byte> buf(len + offset);
   for (std::size_t i = 0; i < buf.size(); ++i)
     buf[i] = static_cast<std::byte>(i * 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::checksum(buf.data(), buf.size()));
+    benchmark::DoNotOptimize(net::checksum(buf.data() + offset, len));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ChecksumFrame)->Arg(64)->Arg(1500);
+static void BM_ChecksumFrame(benchmark::State& state) {
+  checksum_rows(state, 0);
+}
+BENCHMARK(BM_ChecksumFrame)->Arg(20)->Arg(64)->Arg(1500);
+// Odd length at an odd address: the tail byte and unaligned word loads.
+static void BM_ChecksumFrameUnaligned(benchmark::State& state) {
+  checksum_rows(state, 1);
+}
+BENCHMARK(BM_ChecksumFrameUnaligned)->Arg(1473);
+
+// One event-queue step (pop, run, reschedule) at a steady heap depth with
+// 40 B closures, the size of the plane's dispatch closure. Arg = depth:
+// 300 is sim_noisy_neighbor's mean heap depth, 1,300 sim_flow_churn's.
+static void BM_EventQueueStep(benchmark::State& state) {
+  sim::EventQueue eq;
+  sim::Rng rng(7);
+  struct Ctx {
+    sim::EventQueue* eq;
+    sim::Rng* rng;
+  };
+  struct Step {
+    static void arm(Ctx c, std::uint64_t a, std::uint64_t b) {
+      const sim::TimeNs at = c.eq->now() + 1 + c.rng->uniform_u64(4000);
+      auto cb = [c, a, b, pad = std::uint64_t{0}] {
+        benchmark::DoNotOptimize(pad);
+        arm(c, b, a + 1);
+      };
+      static_assert(sizeof(cb) == 40);
+      c.eq->schedule_at(at, std::move(cb));
+    }
+  };
+  const Ctx ctx{&eq, &rng};
+  for (std::int64_t i = 0; i < state.range(0); ++i)
+    Step::arm(ctx, static_cast<std::uint64_t>(i), 0);
+  for (int i = 0; i < 10'000; ++i) eq.step();  // warm slab and heap
+  for (auto _ : state) eq.step();
+  state.SetItemsProcessed(state.iterations());
+  eq.clear();
+}
+BENCHMARK(BM_EventQueueStep)->Arg(300)->Arg(1300);
 
 // Whole-chain batch path: one virtual call per element per burst through
 // CheckIPHeader -> Firewall -> Nat -> LoadBalancer. Arg = burst size;

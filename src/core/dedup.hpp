@@ -15,8 +15,11 @@ namespace mdp::core {
 
 class Deduplicator {
  public:
+  /// All 32 flow-id bits in the high word, the low 32 bits of the
+  /// sequence in the low word: distinct (flow, seq) pairs never alias for
+  /// seq < 2^32 (the plane's per-flow counters).
   static std::uint64_t key(std::uint32_t flow_id, std::uint64_t seq) noexcept {
-    return (std::uint64_t{flow_id} << 40) ^ seq;
+    return std::uint64_t{flow_id} << 32 | static_cast<std::uint32_t>(seq);
   }
 
   /// Register a packet about to be dispatched as `copies` copies.
@@ -125,12 +128,12 @@ class Deduplicator {
   /// Flow completed: retire its pending per-sequence entries. Any copy
   /// still in flight then counts as a late drop on arrival (and is
   /// released by the caller — never double-delivered, never leaked).
-  /// Valid for seq < 2^40 (the plane's per-flow counters). Returns the
+  /// Matches on the key's high word, so every 32-bit flow id. Returns the
   /// number of entries released.
   std::size_t release_flow(std::uint32_t flow_id) {
     std::size_t n = 0;
     for (auto it = entries_.begin(); it != entries_.end();) {
-      if (static_cast<std::uint32_t>(it->first >> 40) == flow_id) {
+      if (static_cast<std::uint32_t>(it->first >> 32) == flow_id) {
         it = entries_.erase(it);
         ++n;
       } else {

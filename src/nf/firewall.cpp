@@ -55,9 +55,11 @@ bool parse_port_range(const std::string& s, PortRange* out,
     out->lo = out->hi = static_cast<std::uint16_t>(v);
     return true;
   }
-  unsigned long lo = std::strtoul(s.substr(0, dash).c_str(), &end, 10);
+  // Named substrings: `end` points into them after strtoul.
+  const std::string lo_s = s.substr(0, dash), hi_s = s.substr(dash + 1);
+  unsigned long lo = std::strtoul(lo_s.c_str(), &end, 10);
   bool lo_ok = (*end == '\0');
-  unsigned long hi = std::strtoul(s.substr(dash + 1).c_str(), &end, 10);
+  unsigned long hi = std::strtoul(hi_s.c_str(), &end, 10);
   if (!lo_ok || *end != '\0' || lo > 65535 || hi > 65535 || lo > hi) {
     *err = "bad port range '" + s + "'";
     return false;

@@ -47,23 +47,36 @@ void FlowCache::apply(const CachedAction& a, net::Packet& pkt,
                       const net::ParsedPacket& parsed) {
   if (!a.rewrite) return;
   net::Ipv4View ip(pkt.data() + parsed.l3_offset);
+  const std::uint32_t old_src = ip.src();
+  const std::uint32_t old_dst = ip.dst();
   std::uint16_t csum = ip.checksum();
-  csum = net::checksum_update32(csum, ip.src(), a.new_src_ip);
-  csum = net::checksum_update32(csum, ip.dst(), a.new_dst_ip);
+  csum = net::checksum_update32(csum, old_src, a.new_src_ip);
+  csum = net::checksum_update32(csum, old_dst, a.new_dst_ip);
   ip.set_src(a.new_src_ip);
   ip.set_dst(a.new_dst_ip);
   ip.set_checksum(csum);
-  if (parsed.has_l4) {
-    std::byte* l4 = pkt.data() + parsed.l4_offset;
-    if (parsed.flow.protocol == net::kIpProtoTcp) {
-      net::TcpView tcp(l4);
-      tcp.set_src_port(a.new_src_port);
-      tcp.set_dst_port(a.new_dst_port);
-    } else if (parsed.flow.protocol == net::kIpProtoUdp) {
-      net::UdpView udp(l4);
-      udp.set_src_port(a.new_src_port);
-      udp.set_dst_port(a.new_dst_port);
-      udp.set_checksum(0);  // fast path: recompute disabled, mark absent
+  if (!parsed.has_l4) return;
+  // RFC 1624 over the pseudo-header addresses and the ports, as NAT and
+  // the load balancer patch theirs.
+  auto patch_l4 = [&](std::uint16_t c) {
+    c = net::checksum_update32(c, old_src, a.new_src_ip);
+    c = net::checksum_update32(c, old_dst, a.new_dst_ip);
+    c = net::checksum_update16(c, parsed.flow.src_port, a.new_src_port);
+    return net::checksum_update16(c, parsed.flow.dst_port, a.new_dst_port);
+  };
+  std::byte* l4 = pkt.data() + parsed.l4_offset;
+  if (parsed.flow.protocol == net::kIpProtoTcp) {
+    net::TcpView tcp(l4);
+    tcp.set_src_port(a.new_src_port);
+    tcp.set_dst_port(a.new_dst_port);
+    tcp.set_checksum(patch_l4(tcp.checksum()));
+  } else if (parsed.flow.protocol == net::kIpProtoUdp) {
+    net::UdpView udp(l4);
+    udp.set_src_port(a.new_src_port);
+    udp.set_dst_port(a.new_dst_port);
+    if (std::uint16_t c = udp.checksum(); c != 0) {  // 0 = checksum disabled
+      c = patch_l4(c);
+      udp.set_checksum(c == 0 ? 0xffff : c);
     }
   }
 }

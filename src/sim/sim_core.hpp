@@ -18,8 +18,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/unique_function.hpp"
@@ -43,15 +43,18 @@ class SimCore {
   /// interference bursts are not (pass visible=false).
   void submit(TimeNs service_ns, Done done, bool high_priority = false,
               bool visible = true) {
-    Job job{service_ns, std::move(done), visible};
+    if (!busy_) {  // an idle core has nothing queued: serve at once
+      serve(service_ns, std::move(done), visible);
+      return;
+    }
     queued_work_ns_ += service_ns;
     if (visible) queued_visible_ns_ += service_ns;
+    Job job{service_ns, std::move(done), visible};
     if (high_priority) {
       queue_.push_front(std::move(job));
     } else {
       queue_.push_back(std::move(job));
     }
-    if (!busy_) start_next();
   }
 
   /// Jobs waiting (not counting the one in service).
@@ -82,9 +85,50 @@ class SimCore {
 
  private:
   struct Job {
-    TimeNs service_ns;
+    TimeNs service_ns = 0;
     Done done;
-    bool visible;
+    bool visible = true;
+  };
+
+  // Waiting jobs: FIFO, with push_front for high-priority ones. A
+  // power-of-two ring that doubles when full, so a steady queue never
+  // allocates (a std::deque allocates a node every few jobs).
+  class JobRing {
+   public:
+    bool empty() const noexcept { return size_ == 0; }
+    std::size_t size() const noexcept { return size_; }
+    Job& front() noexcept { return slots_[head_]; }
+    void pop_front() noexcept {
+      slots_[head_].done = nullptr;
+      head_ = (head_ + 1) & mask();
+      --size_;
+    }
+    void push_back(Job&& job) {
+      grow_if_full();
+      slots_[(head_ + size_) & mask()] = std::move(job);
+      ++size_;
+    }
+    void push_front(Job&& job) {
+      grow_if_full();
+      head_ = (head_ - 1) & mask();
+      slots_[head_] = std::move(job);
+      ++size_;
+    }
+
+   private:
+    std::size_t mask() const noexcept { return slots_.size() - 1; }
+    void grow_if_full() {
+      if (size_ < slots_.size()) return;
+      std::vector<Job> bigger(slots_.empty() ? 16 : slots_.size() * 2);
+      for (std::size_t i = 0; i < size_; ++i)
+        bigger[i] = std::move(slots_[(head_ + i) & mask()]);
+      slots_ = std::move(bigger);
+      head_ = 0;
+    }
+
+    std::vector<Job> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
   };
 
   TimeNs in_service_remaining() const noexcept {
@@ -93,32 +137,38 @@ class SimCore {
                : 0;
   }
 
-  void start_next() {
+  void serve(TimeNs service_ns, Done&& done, bool visible) {
+    busy_ = true;
+    in_service_theft_ = !visible;
+    in_service_until_ = eq_.now() + service_ns;
+    busy_ns_ += service_ns;
+    in_service_done_ = std::move(done);
+    eq_.schedule_at(in_service_until_, [this] { complete(); });
+  }
+
+  // The in-service job finished. `done` may submit to this core; the core
+  // is still busy then, so the job is only queued.
+  void complete() {
+    ++completed_;
+    in_service_done_(eq_.now());
+    in_service_done_ = nullptr;
     if (queue_.empty()) {
       busy_ = false;
       in_service_until_ = 0;
       in_service_theft_ = false;
       return;
     }
-    busy_ = true;
-    Job job = std::move(queue_.front());
+    Job& next = queue_.front();
+    queued_work_ns_ -= next.service_ns;
+    if (next.visible) queued_visible_ns_ -= next.service_ns;
+    serve(next.service_ns, std::move(next.done), next.visible);
     queue_.pop_front();
-    queued_work_ns_ -= job.service_ns;
-    if (job.visible) queued_visible_ns_ -= job.service_ns;
-    in_service_theft_ = !job.visible;
-    TimeNs finish = eq_.now() + job.service_ns;
-    in_service_until_ = finish;
-    busy_ns_ += job.service_ns;
-    eq_.schedule_at(finish, [this, done = std::move(job.done)]() mutable {
-      ++completed_;
-      done(eq_.now());
-      start_next();
-    });
   }
 
   EventQueue& eq_;
   std::string name_;
-  std::deque<Job> queue_;
+  JobRing queue_;
+  Done in_service_done_;
   bool busy_ = false;
   bool in_service_theft_ = false;
   TimeNs in_service_until_ = 0;

@@ -51,6 +51,8 @@ void RpcWorkload::emit_packet(std::uint32_t flow_id, std::uint32_t pkt_idx) {
   auto it = flows_.find(flow_id);
   if (it == flows_.end()) return;
   const FlowState& st = it->second;
+  // Read before the sink runs: an egress inside it may retire the flow.
+  const std::uint32_t packets_expected = st.packets_expected;
 
   net::BuildSpec spec;
   spec.flow.src_ip = 0x0b000000 | (flow_id & 0x00ffffff);
@@ -79,7 +81,7 @@ void RpcWorkload::emit_packet(std::uint32_t flow_id, std::uint32_t pkt_idx) {
     sink_(std::move(pkt));
   }
   std::uint32_t next = pkt_idx + 1;
-  if (next < st.packets_expected) {
+  if (next < packets_expected) {
     eq_.schedule_in(cfg_.pacing_gap_ns,
                     [this, flow_id, next] { emit_packet(flow_id, next); });
   }

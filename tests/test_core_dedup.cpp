@@ -48,6 +48,43 @@ TEST(Dedup, KeysAreFlowAndSeqScoped) {
   EXPECT_TRUE(d.accept(Deduplicator::key(1, 1)));
 }
 
+TEST(Dedup, FlowIdsAboveTwoPow24DoNotAlias) {
+  // These two ids differ only in bits 24-31; each flow's packet must be
+  // accepted as its own first copy.
+  constexpr std::uint32_t kA = 0x01000005, kB = 0x02000005;
+  EXPECT_NE(Deduplicator::key(kA, 3), Deduplicator::key(kB, 3));
+  Deduplicator d;
+  d.expect(Deduplicator::key(kA, 3), 2, 0);
+  d.expect(Deduplicator::key(kB, 3), 2, 0);
+  EXPECT_EQ(d.pending(), 2u);
+  EXPECT_TRUE(d.accept(Deduplicator::key(kA, 3)));
+  EXPECT_TRUE(d.accept(Deduplicator::key(kB, 3)))
+      << "flow B's first copy must not be taken for flow A's duplicate";
+  EXPECT_FALSE(d.accept(Deduplicator::key(kA, 3)));
+  EXPECT_FALSE(d.accept(Deduplicator::key(kB, 3)));
+  EXPECT_EQ(d.dup_drops(), 2u);
+  EXPECT_EQ(d.pending(), 0u);
+}
+
+TEST(Dedup, ReleaseFlowMatchesAll32FlowIdBits) {
+  constexpr std::uint32_t kA = 0x01000005, kB = 0x02000005;
+  Deduplicator d;
+  for (std::uint64_t seq = 0; seq < 4; ++seq) {
+    d.expect(Deduplicator::key(kA, seq), 2, 0);
+    d.expect(Deduplicator::key(kB, seq), 2, 0);
+  }
+  d.expect(Deduplicator::key(0xffffffff, 0), 1, 0);
+  EXPECT_EQ(d.release_flow(kA), 4u) << "exactly flow A's entries";
+  EXPECT_EQ(d.pending(), 5u);
+  for (std::uint64_t seq = 0; seq < 4; ++seq) {
+    EXPECT_FALSE(d.completed(Deduplicator::key(kB, seq)))
+        << "flow B's entries stay pending";
+    EXPECT_TRUE(d.accept(Deduplicator::key(kB, seq)));
+  }
+  EXPECT_EQ(d.release_flow(0xffffffff), 1u);
+  EXPECT_EQ(d.release_flow(kA), 0u);
+}
+
 TEST(Dedup, AddExpectedExtendsLifetime) {
   Deduplicator d;
   auto k = Deduplicator::key(1, 1);

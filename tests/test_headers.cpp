@@ -9,6 +9,9 @@
 #include "net/packet_pool.hpp"
 #include "sim/rng.hpp"
 
+#include <utility>
+#include <vector>
+
 namespace mdp::net {
 namespace {
 
@@ -160,6 +163,111 @@ TEST(Checksum, IncrementalMatchesFullRecompute32) {
     store_be32(buf + 12, new_val);
     buf[10] = buf[11] = std::byte{0};
     EXPECT_EQ(incr, checksum(buf, sizeof(buf))) << "trial " << trial;
+  }
+}
+
+// --- checksum kernel differential oracle -----------------------------------
+// The reference is the textbook RFC 1071 loop: big-endian 16-bit words one
+// at a time, a trailing byte padded with zero, summed in 64 bits so that
+// no incoming sum can overflow. The kernel sums 64-bit native words; both
+// must fold to the same checksum for every input.
+
+std::uint64_t reference_sum(const std::byte* data, std::size_t len,
+                            std::uint64_t sum) {
+  while (len >= 2) {
+    sum += load_be16(data);
+    data += 2;
+    len -= 2;
+  }
+  if (len == 1) sum += std::to_integer<std::uint64_t>(data[0]) << 8;
+  return sum;
+}
+
+std::uint16_t reference_fold(std::uint64_t sum) {
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xffff);
+}
+
+std::uint16_t kernel(const std::byte* data, std::size_t len,
+                     std::uint32_t sum) {
+  return checksum_fold(checksum_partial(data, len, sum));
+}
+
+constexpr std::size_t kOracleMaxLen = 9000;
+
+TEST(ChecksumOracle, AllLengthsAtAllStartOffsets) {
+  sim::Rng rng(1071);
+  std::vector<std::byte> buf(kOracleMaxLen + 8);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.uniform_u64(256));
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= kOracleMaxLen; ++len) {
+      const auto sum = static_cast<std::uint32_t>(rng.next_u64());
+      const std::byte* p = buf.data() + off;
+      ASSERT_EQ(kernel(p, len, sum), reference_fold(reference_sum(p, len, sum)))
+          << "offset " << off << " length " << len << " sum " << sum;
+    }
+  }
+}
+
+TEST(ChecksumOracle, AllZeroAndAllOnesBuffers) {
+  for (const std::byte fill : {std::byte{0x00}, std::byte{0xff}}) {
+    std::vector<std::byte> buf(kOracleMaxLen + 8, fill);
+    for (std::size_t off = 0; off < 8; ++off) {
+      for (std::size_t len = 0; len <= kOracleMaxLen; ++len) {
+        constexpr std::uint32_t kSums[] = {0u, 0xffffu, 0xffffffffu};
+        const std::uint32_t sum = kSums[(len + off) % 3];
+        const std::byte* p = buf.data() + off;
+        ASSERT_EQ(kernel(p, len, sum),
+                  reference_fold(reference_sum(p, len, sum)))
+            << "fill " << std::to_integer<int>(fill) << " offset " << off
+            << " length " << len << " sum " << sum;
+      }
+    }
+  }
+  // An all-zero buffer with no incoming sum is the one input whose sum is
+  // +0: its checksum is 0xffff, never 0.
+  std::vector<std::byte> zeros(64, std::byte{0});
+  EXPECT_EQ(kernel(zeros.data(), zeros.size(), 0), 0xffff);
+}
+
+TEST(ChecksumOracle, PartialSumsChainAcrossEvenSplits) {
+  sim::Rng rng(1624);
+  std::vector<std::byte> buf(kOracleMaxLen);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.uniform_u64(256));
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t len = rng.uniform_u64(kOracleMaxLen + 1);
+    // Two split points at even offsets (so every part starts on a 16-bit
+    // word boundary of the whole), in order.
+    std::size_t a = rng.uniform_u64(len / 2 + 1) * 2;
+    std::size_t b = rng.uniform_u64(len / 2 + 1) * 2;
+    if (a > b) std::swap(a, b);
+    const auto init = static_cast<std::uint32_t>(rng.next_u64());
+    std::uint32_t sum = checksum_partial(buf.data(), a, init);
+    sum = checksum_partial(buf.data() + a, b - a, sum);
+    sum = checksum_partial(buf.data() + b, len - b, sum);
+    ASSERT_EQ(checksum_fold(sum),
+              reference_fold(reference_sum(buf.data(), len, init)))
+        << "length " << len << " splits " << a << "," << b;
+  }
+}
+
+TEST(ChecksumOracle, IncomingSumsUpToMaxDoNotOverflow) {
+  std::vector<std::byte> ones(kOracleMaxLen, std::byte{0xff});
+  std::vector<std::byte> mixed(kOracleMaxLen);
+  sim::Rng rng(5);
+  for (auto& b : mixed) b = static_cast<std::byte>(rng.uniform_u64(256));
+  for (const std::uint32_t sum :
+       {0u, 1u, 0xfffeu, 0xffffu, 0x10000u, 0x7fffffffu, 0xfffeffffu,
+        0xfffffffeu, 0xffffffffu}) {
+    for (const auto* v : {&ones, &mixed}) {
+      for (const std::size_t len : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{20}, std::size_t{1473},
+                                    kOracleMaxLen}) {
+        ASSERT_EQ(kernel(v->data(), len, sum),
+                  reference_fold(reference_sum(v->data(), len, sum)))
+            << "sum " << sum << " length " << len;
+      }
+    }
   }
 }
 

@@ -2,9 +2,13 @@
 // (PrioSched / DrrSched) and the FlowCache fast path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "click/elements.hpp"
 #include "click/elements_sched.hpp"
 #include "click/router.hpp"
+#include "net/checksum.hpp"
+#include "net/headers.hpp"
 #include "net/packet_builder.hpp"
 #include "nf/flow_cache.hpp"
 #include "nf/lpm.hpp"
@@ -176,10 +180,24 @@ struct FlowCacheFixture : ::testing::Test {
     fast_out = router.find_as<click::Queue>("out");
   }
 
-  void send(std::uint16_t sport) {
+  void send(std::uint16_t sport, bool tcp = false) {
     net::BuildSpec spec;
     spec.flow = {0xc0a80101, 0x08080808, sport, 443, 0};
-    fc->push(0, net::build_udp(pool, spec));
+    spec.payload_len = 101;  // odd: the L4 sum ends on a pad byte
+    fc->push(0, tcp ? net::build_tcp(pool, spec) : net::build_udp(pool, spec));
+  }
+
+  // True when the TCP/UDP checksum over pseudo-header and segment folds
+  // to 0.
+  static bool l4_checksum_valid(net::Packet& pkt,
+                                const net::ParsedPacket& parsed) {
+    net::Ipv4View ip(pkt.data() + parsed.l3_offset);
+    const auto l4_len =
+        static_cast<std::uint16_t>(ip.total_length() - ip.header_len());
+    std::uint32_t sum =
+        net::pseudo_header_sum(ip.src(), ip.dst(), ip.protocol(), l4_len);
+    sum = net::checksum_partial(pkt.data() + parsed.l4_offset, l4_len, sum);
+    return net::checksum_fold(sum) == 0;
   }
 };
 
@@ -211,6 +229,28 @@ TEST_F(FlowCacheFixture, CachedRewriteMatchesSlowPathRewrite) {
   EXPECT_EQ(fast_parsed->flow, slow_parsed->flow)
       << "fast path must produce the slow path's 5-tuple";
   EXPECT_TRUE(net::validate_ipv4_csum(*fast, *fast_parsed));
+}
+
+TEST_F(FlowCacheFixture, CachedHitFrameEqualsSlowPathFrameUdpAndTcp) {
+  for (const bool tcp : {false, true}) {
+    const std::uint16_t sport = tcp ? 3001 : 3000;
+    send(sport, tcp);  // miss: NAT rewrites and patches the checksums
+    auto slow = fast_out->pull(0);
+    send(sport, tcp);  // hit: the cache replays the rewrite
+    auto fast = fast_out->pull(0);
+    ASSERT_TRUE(slow && fast);
+    auto parsed = net::parse(*fast);
+    ASSERT_TRUE(parsed);
+    EXPECT_EQ(parsed->flow.protocol, tcp ? net::kIpProtoTcp : net::kIpProtoUdp);
+    ASSERT_EQ(fast->length(), slow->length());
+    EXPECT_TRUE(std::equal(fast->data(), fast->data() + fast->length(),
+                           slow->data()))
+        << (tcp ? "TCP" : "UDP") << ": cached frame differs from slow path";
+    EXPECT_TRUE(net::validate_ipv4_csum(*fast, *parsed));
+    EXPECT_TRUE(l4_checksum_valid(*fast, *parsed))
+        << (tcp ? "TCP" : "UDP") << " checksum invalid after a cache hit";
+  }
+  EXPECT_EQ(fc->core().hits(), 2u);
 }
 
 TEST_F(FlowCacheFixture, DistinctFlowsDistinctEntries) {

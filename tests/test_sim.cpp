@@ -3,15 +3,40 @@
 // the multi-queue NIC.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <deque>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "net/packet_builder.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/distributions.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/interference.hpp"
 #include "sim/nic.hpp"
 #include "sim/rng.hpp"
 #include "sim/sim_core.hpp"
+
+// Global allocation counter: the event core's steady state must not
+// allocate. Counts every operator new in this test binary.
+namespace {
+std::uint64_t g_news = 0;
+}  // namespace
+
+// Out of line, so the compiler does not pair an inlined malloc() or free()
+// with the other operator and warn about a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_news;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mdp::sim {
 namespace {
@@ -80,6 +105,129 @@ TEST(EventQueue, MoveOnlyCaptures) {
   eq.schedule_at(1, [p = std::move(p), &got] { got = *p; });
   eq.run();
   EXPECT_EQ(got, 7);
+}
+
+TEST(EventQueue, SlabGrowsWhileACallbackRuns) {
+  EventQueue eq;
+  int fired = 0;
+  int token_seen = 0;
+  // The running closure owns a resource and reads it after scheduling
+  // enough events to grow the callback slab several times over: the
+  // closure must still be where it was (ASan flags it otherwise).
+  eq.schedule_at(1, [&, token = std::make_unique<int>(42)] {
+    for (int i = 0; i < 2000; ++i)
+      eq.schedule_in(static_cast<TimeNs>(1 + i % 7), [&fired] { ++fired; });
+    token_seen = *token;
+  });
+  eq.run();
+  EXPECT_EQ(token_seen, 42);
+  EXPECT_EQ(fired, 2000);
+  EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, TieOrderHoldsAcrossSlotReuse) {
+  // Interleave schedules and steps so freed slots are reused in LIFO
+  // order, with many equal times; firing order must be exactly (at, seq).
+  EventQueue eq;
+  Rng rng(2024);
+  std::vector<std::pair<TimeNs, std::uint64_t>> fired;
+  std::vector<std::pair<TimeNs, std::uint64_t>> scheduled;
+  std::uint64_t seq = 0;
+  auto add = [&](TimeNs at) {
+    at = std::max(at, eq.now());
+    scheduled.emplace_back(at, seq);
+    eq.schedule_at(at, [&fired, at, s = seq] { fired.emplace_back(at, s); });
+    ++seq;
+  };
+  for (int round = 0; round < 200; ++round) {
+    const int adds = static_cast<int>(rng.uniform_u64(40));
+    for (int i = 0; i < adds; ++i) add(eq.now() + rng.uniform_u64(4) * 10);
+    const int steps = static_cast<int>(rng.uniform_u64(40));
+    for (int i = 0; i < steps; ++i) eq.step();
+  }
+  eq.run();
+  ASSERT_EQ(fired.size(), scheduled.size());
+  // Every event is scheduled at or after now(), so the whole firing
+  // trace must be sorted by (at, seq).
+  std::vector<std::pair<TimeNs, std::uint64_t>> expected = scheduled;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(fired, expected);
+}
+
+TEST(EventQueue, ClearReleasesCapturedPackets) {
+  net::PacketPool pool(64, 256);
+  {
+    EventQueue eq;
+    for (int i = 0; i < 40; ++i) {
+      net::PacketPtr p = pool.alloc();
+      ASSERT_TRUE(p);
+      eq.schedule_at(static_cast<TimeNs>(100 + i),
+                     [p = std::move(p)] { FAIL() << "cleared event ran"; });
+    }
+    EXPECT_EQ(pool.in_use(), 40u);
+    eq.clear();
+    EXPECT_EQ(pool.in_use(), 0u) << "clear() must destroy the closures";
+    EXPECT_TRUE(eq.empty());
+    // The queue is reusable after clear(), on recycled slots.
+    bool ran = false;
+    eq.schedule_at(5, [&ran, p = pool.alloc()] { ran = p != nullptr; });
+    eq.run();
+    EXPECT_TRUE(ran);
+  }
+  EXPECT_EQ(pool.in_use(), 0u);
+}
+
+TEST(EventQueue, SteadyStateScheduleStepDoesNotAllocate) {
+  // Closures up to UniqueFunction's inline capacity: a packet handle plus
+  // context, the shape of the plane's dispatch closure, and a plain POD
+  // payload.
+  EventQueue eq;
+  net::PacketPool pool(512, 128);
+  Rng rng(3);
+  std::uint64_t fired = 0;
+  struct Ctx {
+    EventQueue* eq;
+    Rng* rng;
+    std::uint64_t* fired;
+  };
+  Ctx ctx{&eq, &rng, &fired};
+  struct Self {
+    static void arm(Ctx c, net::PacketPtr p) {
+      const TimeNs at = c.eq->now() + 1 + c.rng->uniform_u64(4000);
+      auto cb = [c, p = std::move(p), pad = std::uint64_t{0}]() mutable {
+        (void)pad;
+        ++*c.fired;
+        arm(c, std::move(p));
+      };
+      static_assert(sizeof(cb) <= EventQueue::Callback::kInlineBytes);
+      c.eq->schedule_at(at, std::move(cb));
+    }
+  };
+  for (int i = 0; i < 300; ++i) Self::arm(ctx, pool.alloc());
+  for (int i = 0; i < 20'000; ++i) eq.step();  // warm: slab and heap sized
+  const std::uint64_t before = g_news;
+  for (int i = 0; i < 100'000; ++i) eq.step();
+  EXPECT_EQ(g_news - before, 0u) << "schedule/step allocated";
+  EXPECT_EQ(fired, 120'000u);
+  eq.clear();
+  EXPECT_EQ(pool.in_use(), 0u);
+}
+
+TEST(UniqueFunction, LargeClosuresAreBoxedAndStillWork) {
+  struct Big {
+    std::uint64_t v[16];
+  };
+  Big big{};
+  big.v[15] = 7;
+  std::uint64_t got = 0;
+  const std::uint64_t before = g_news;
+  UniqueFunction<void()> f = [big, &got] { got = big.v[15]; };
+  EXPECT_EQ(g_news - before, 1u) << "a closure above the inline capacity "
+                                    "is boxed once";
+  UniqueFunction<void()> g = std::move(f);
+  EXPECT_FALSE(f);
+  g();
+  EXPECT_EQ(got, 7u);
 }
 
 TEST(Rng, DeterministicForSeed) {
@@ -196,6 +344,60 @@ TEST(SimCore, HighPriorityJumpsQueue) {
   EXPECT_EQ(order, (std::vector<int>{0, 2, 1}))
       << "high-priority job must run after the in-service job but before "
          "queued normal jobs";
+}
+
+TEST(SimCore, PriorityAndFifoOrderHoldAcrossQueueGrowth) {
+  // Enough queued jobs to grow the job ring several times, with
+  // high-priority jobs pushed to the front in between; the service order
+  // must match a std::deque model of the same submissions.
+  EventQueue eq;
+  SimCore core(eq);
+  std::vector<int> order;
+  std::deque<int> model;
+  core.submit(10, [&](TimeNs) { order.push_back(-1); });  // in service
+  for (int i = 0; i < 300; ++i) {
+    const bool high = i % 7 == 3;
+    core.submit(static_cast<TimeNs>(1 + i % 5),
+                [&order, i](TimeNs) { order.push_back(i); }, high);
+    if (high)
+      model.push_front(i);
+    else
+      model.push_back(i);
+  }
+  EXPECT_EQ(core.queue_depth(), 300u);
+  eq.run();
+  std::vector<int> expected{-1};
+  expected.insert(expected.end(), model.begin(), model.end());
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(core.backlog_ns(), 0u);
+  EXPECT_FALSE(core.busy());
+}
+
+TEST(SimCore, SteadyStateSubmitCompleteDoesNotAllocate) {
+  // A core kept busy by completions that resubmit, each Done holding a
+  // packet handle: once the job ring and the event slab are sized, the
+  // cycle allocates nothing.
+  net::PacketPool pool(64, 128);  // outlives the core's queued closures
+  EventQueue eq;
+  SimCore core(eq);
+  std::uint64_t done_count = 0;
+  struct Loop {
+    static void submit(SimCore& c, std::uint64_t& n, net::PacketPtr p) {
+      c.submit(1 + (n % 3),
+               [&c, &n, p = std::move(p)](TimeNs) mutable {
+                 ++n;
+                 submit(c, n, std::move(p));
+               },
+               /*high_priority=*/n % 11 == 0);
+    }
+  };
+  for (int i = 0; i < 32; ++i) Loop::submit(core, done_count, pool.alloc());
+  for (int i = 0; i < 10'000; ++i) eq.step();
+  const std::uint64_t before = g_news;
+  for (int i = 0; i < 50'000; ++i) eq.step();
+  EXPECT_EQ(g_news - before, 0u) << "submit/complete allocated";
+  EXPECT_EQ(done_count, 60'000u);
+  eq.clear();
 }
 
 TEST(SimCore, BacklogTracksOutstandingWork) {
