@@ -6,6 +6,7 @@
 #include <array>
 #include <atomic>
 
+#include "core/dataplane.hpp"
 #include "core/dedup.hpp"
 #include "core/reorder.hpp"
 #include "net/checksum.hpp"
@@ -388,5 +389,23 @@ static void BM_ChainPerPacket(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChainPerPacket);
+
+// Set-up cost of a fw-nat-lb plane: build and initialize every path's
+// chain replica (and the per-plane NF state they share), then tear the
+// plane down. Arg = paths.
+static void BM_PlaneBuild(benchmark::State& state) {
+  sim::EventQueue eq;
+  net::PacketPool pool(64, 2048);
+  core::DataPlaneConfig cfg;
+  cfg.num_paths = static_cast<std::size_t>(state.range(0));
+  cfg.chain = "fw-nat-lb";
+  cfg.dedup_sweep_interval_ns = 0;
+  for (auto _ : state) {
+    core::MdpDataPlane dp(eq, pool, cfg, core::make_scheduler("jsq"));
+    benchmark::DoNotOptimize(dp.chain_cost_ns());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlaneBuild)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

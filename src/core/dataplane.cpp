@@ -1,6 +1,7 @@
 #include "core/dataplane.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "core/path_egress.hpp"
@@ -63,13 +64,15 @@ MdpDataPlane::MdpDataPlane(sim::EventQueue& eq, net::PacketPool& pool,
 
   nf::ChainSpec spec = nf::ChainSpec::preset(cfg_.chain);
   std::string err;
+  // Path 0's chain owns the per-flow NF state; paths 1..k-1 bind to it.
+  std::optional<nf::BuiltChain> first;
   paths_.reserve(cfg_.num_paths);
   for (std::size_t p = 0; p < cfg_.num_paths; ++p) {
     Path path;
     path.core = std::make_unique<sim::SimCore>(
         eq_, "path" + std::to_string(p));
     auto built = nf::build_chain(router_, "path" + std::to_string(p), spec,
-                                 &err);
+                                 &err, first ? &*first : nullptr);
     if (!built)
       throw std::runtime_error("chain build failed: " + err);
     path.chain_head = built->head;
@@ -84,6 +87,7 @@ MdpDataPlane::MdpDataPlane(sim::EventQueue& eq, net::PacketPool& pool,
         "path" + std::to_string(p) + "_egress");
     if (!router_.connect(built->tail, 0, egress_elem, 0, &err))
       throw std::runtime_error("egress wiring failed: " + err);
+    if (!first) first = std::move(built);
     paths_.push_back(std::move(path));
   }
   if (!router_.initialize(&err))

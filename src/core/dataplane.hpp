@@ -2,17 +2,21 @@
 //
 //                      +-- path 0: SimCore --> chain replica --+
 //   ingress -> sched --+-- path 1: SimCore --> chain replica --+--> dedup
-//                      +-- ...                                 |     |
-//                                                              |  reorder
-//                                                              +---> egress
+//                      +-- ...           |                     |     |
+//                                        v                     |  reorder
+//                      per-plane NF state (NAT, LB, conntrack) +---> egress
 //
 // Each path is one simulated worker core (queueing model, see SimCore)
 // running its own functional replica of the NF chain (real Click elements:
-// the firewall really filters, the NAT really rewrites). The service time
-// charged on the core is the chain's cost-model time with lognormal jitter;
-// when the job completes, the packet is pushed through the chain replica
-// for its functional effect, then merged: first-copy-wins dedup, per-flow
-// resequencing, and finally the egress callback.
+// the firewall really filters, the NAT really rewrites). The replicas'
+// stateful elements share one per-flow state store per NF, owned by path
+// 0's chain (nf::build_chain replica_of): whichever path a packet or its
+// copy takes, its flow has one NAT binding, one LB backend and one
+// tracked connection. The service time charged on the core is the chain's
+// cost-model time with lognormal jitter; when the job completes, the
+// packet is pushed through the chain replica for its functional effect,
+// then merged: first-copy-wins dedup, per-flow resequencing, and finally
+// the egress callback.
 //
 // Interference is attached from outside (see sim::InterferenceModel) onto
 // any subset of the path cores — that is the "noisy neighbor" of the

@@ -2,6 +2,11 @@
 
 #include <cstdio>
 
+#include "nf/conntrack.hpp"
+#include "nf/flow_monitor.hpp"
+#include "nf/load_balancer.hpp"
+#include "nf/nat.hpp"
+
 namespace mdp::nf {
 
 std::vector<std::string> make_firewall_rules(std::size_t n) {
@@ -77,12 +82,36 @@ std::vector<std::string> ChainSpec::preset_names() {
           "fw-nat-lb", "fw-nat-lb-mon", "overlay",  "full"};
 }
 
+namespace {
+
+/// Bind a replica stage to the per-flow state of the same stage of the
+/// primary chain. Both elements have the same class.
+void share_stage_state(click::Element& replica, click::Element& primary) {
+  if (auto* nat = dynamic_cast<Nat*>(&replica))
+    nat->share_state_of(dynamic_cast<Nat&>(primary));
+  else if (auto* lb = dynamic_cast<LoadBalancer*>(&replica))
+    lb->share_state_of(dynamic_cast<LoadBalancer&>(primary));
+  else if (auto* sfw = dynamic_cast<StatefulFirewall*>(&replica))
+    sfw->share_state_of(dynamic_cast<StatefulFirewall&>(primary));
+  else if (auto* mon = dynamic_cast<FlowMonitor*>(&replica))
+    mon->share_state_of(dynamic_cast<FlowMonitor&>(primary));
+}
+
+}  // namespace
+
 std::optional<BuiltChain> build_chain(click::Router& router,
                                       const std::string& prefix,
                                       const ChainSpec& spec,
-                                      std::string* err) {
+                                      std::string* err,
+                                      const BuiltChain* replica_of) {
   if (spec.stages.empty()) {
     *err = "chain '" + spec.name + "' has no stages (unknown preset?)";
+    return std::nullopt;
+  }
+  if (replica_of != nullptr &&
+      replica_of->stages.size() != spec.stages.size()) {
+    *err = "chain '" + spec.name + "' is not a replica of a " +
+           std::to_string(replica_of->stages.size()) + "-stage chain";
     return std::nullopt;
   }
   BuiltChain out;
@@ -92,11 +121,21 @@ std::optional<BuiltChain> build_chain(click::Router& router,
     std::string ename = prefix + "_" + std::to_string(i);
     click::Element* e = router.add_element(ename, st.cls, st.args, err);
     if (e == nullptr) return std::nullopt;
+    if (replica_of != nullptr) {
+      click::Element* primary = replica_of->stages[i];
+      if (primary->class_name() != e->class_name()) {
+        *err = ename + ": replica stage " + e->class_name() +
+               " does not match " + primary->class_name();
+        return std::nullopt;
+      }
+      share_stage_state(*e, *primary);
+    }
     if (prev != nullptr && !router.connect(prev, 0, e, 0, err))
       return std::nullopt;
-    if (i == 0) out.head = e;
+    out.stages.push_back(e);
     prev = e;
   }
+  out.head = out.stages.front();
   out.tail = prev;
   out.cost_ns = router.chain_cost(out.head);
   return out;

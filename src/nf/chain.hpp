@@ -4,7 +4,13 @@
 //
 // Each multipath path instantiates its own chain replica via build_chain();
 // Router::chain_cost() of the replica is the base service time the
-// discrete-event path model charges per packet.
+// discrete-event path model charges per packet. Replicas of one chain
+// share its per-flow state: the first replica's Nat, LoadBalancer,
+// StatefulFirewall and FlowMonitor own the tables, and every later replica
+// (built with `replica_of`) binds to them, so a flow keeps one NAT
+// identity, one backend and one connection on every path. Stateless
+// stages (CheckIPHeader, Firewall, Dpi, RateLimiter, VxlanEncap) stay per
+// replica.
 #pragma once
 
 #include <optional>
@@ -46,16 +52,21 @@ std::vector<std::string> make_firewall_rules(std::size_t n);
 struct BuiltChain {
   click::Element* head = nullptr;
   click::Element* tail = nullptr;
+  std::vector<click::Element*> stages;  ///< stage i, head first
   sim::TimeNs cost_ns = 0;  ///< sum of element costs along the chain
 };
 
 /// Instantiate `spec` into `router` with element names `<prefix>_<i>`,
 /// connecting stage i output 0 -> stage i+1 input 0. Does NOT initialize
-/// the router (callers wire sources/sinks first).
+/// the router (callers wire sources/sinks first). With `replica_of` (a
+/// chain built earlier from the same spec), each stateful stage binds to
+/// the per-flow state of the same stage in `replica_of` instead of
+/// allocating its own; the state is allocated when the routers initialize.
 std::optional<BuiltChain> build_chain(click::Router& router,
                                       const std::string& prefix,
                                       const ChainSpec& spec,
-                                      std::string* err);
+                                      std::string* err,
+                                      const BuiltChain* replica_of = nullptr);
 
 /// Run a whole burst through the chain via the Click batch path
 /// (head->push_batch): each element processes the full burst before the

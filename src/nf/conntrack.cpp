@@ -122,6 +122,17 @@ bool StatefulFirewall::configure(const std::vector<std::string>& args,
   return true;
 }
 
+bool StatefulFirewall::initialize(std::string* err) {
+  if (tracker_) return true;
+  if (primary_ == nullptr) {
+    tracker_ = std::make_shared<ConnTracker>();
+    return true;
+  }
+  if (!primary_->initialize(err)) return false;
+  tracker_ = primary_->tracker_;
+  return true;
+}
+
 void StatefulFirewall::push(int, net::PacketPtr pkt) {
   auto parsed = net::parse(*pkt);
   if (!parsed || !parsed->has_l4) {
@@ -134,7 +145,7 @@ void StatefulFirewall::push(int, net::PacketPtr pkt) {
   if (parsed->flow.protocol == net::kIpProtoTcp)
     flags = net::TcpView(pkt->data() + parsed->l4_offset).flags();
 
-  ConnState before = tracker_.lookup(parsed->flow);
+  ConnState before = tracker_->lookup(parsed->flow);
   bool opening =
       (parsed->flow.protocol == net::kIpProtoTcp)
           ? (flags & net::TcpView::kSyn) != 0 && (flags & net::TcpView::kAck) == 0
@@ -155,7 +166,7 @@ void StatefulFirewall::push(int, net::PacketPtr pkt) {
     return;
   }
 
-  tracker_.observe(parsed->flow, flags, pkt->anno().ingress_ns,
+  tracker_->observe(parsed->flow, flags, pkt->anno().ingress_ns,
                    pkt->anno().tenant_id);
   ++accepted_;
   output_push(0, std::move(pkt));

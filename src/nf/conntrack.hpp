@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "click/element.hpp"
@@ -106,25 +107,38 @@ class ConnTracker {
 /// connection passes. Out-of-state TCP packets (e.g. an ACK with no
 /// tracked connection) are rejected — the classic stateful-FW behaviour.
 /// Output 0 = accept, output 1 (optional) = reject.
+///
+/// The connection table is allocated in initialize(). A chain replica
+/// bound with share_state_of() allocates none: it tracks through its
+/// primary's table, so a connection whose packets take different paths
+/// is still one connection. The ACL stays per element.
 class StatefulFirewall final : public click::Element {
  public:
   std::string class_name() const override { return "StatefulFirewall"; }
   int n_outputs() const override { return -1; }
   bool configure(const std::vector<std::string>& args,
                  std::string* err) override;
+  bool initialize(std::string* err) override;
   sim::TimeNs cost_ns() const override {
     return 140 + 8 * static_cast<sim::TimeNs>(table_.num_rules());
   }
   void push(int port, net::PacketPtr pkt) override;
 
-  ConnTracker& tracker() noexcept { return tracker_; }
+  /// Track through `primary`'s connection table instead of allocating one.
+  void share_state_of(StatefulFirewall& primary) noexcept {
+    primary_ = &primary;
+  }
+
+  /// Valid after initialize().
+  ConnTracker& tracker() noexcept { return *tracker_; }
   FirewallTable& acl() noexcept { return table_; }
   std::uint64_t accepted() const noexcept { return accepted_; }
   std::uint64_t rejected() const noexcept { return rejected_; }
   std::uint64_t out_of_state() const noexcept { return out_of_state_; }
 
  private:
-  ConnTracker tracker_;
+  StatefulFirewall* primary_ = nullptr;
+  std::shared_ptr<ConnTracker> tracker_;
   FirewallTable table_;
   std::uint64_t accepted_ = 0;
   std::uint64_t rejected_ = 0;

@@ -9,20 +9,29 @@ namespace mdp::nf {
 bool FlowMonitor::configure(const std::vector<std::string>& args,
                             std::string* err) {
   if (args.empty()) return true;
-  std::size_t max_flows;
-  if (args.size() > 1 || !click::parse_size_arg(args[0], &max_flows) ||
-      max_flows == 0) {
+  if (args.size() > 1 || !click::parse_size_arg(args[0], &max_flows_) ||
+      max_flows_ == 0) {
     *err = "FlowMonitor(MAX_FLOWS)";
     return false;
   }
-  core_ = FlowMonitorCore(max_flows);
+  return true;
+}
+
+bool FlowMonitor::initialize(std::string* err) {
+  if (core_) return true;
+  if (primary_ == nullptr) {
+    core_ = std::make_shared<FlowMonitorCore>(max_flows_);
+    return true;
+  }
+  if (!primary_->initialize(err)) return false;
+  core_ = primary_->core_;
   return true;
 }
 
 net::PacketPtr FlowMonitor::simple_action(net::PacketPtr pkt) {
   auto parsed = net::parse(*pkt);
   if (parsed)
-    core_.record(parsed->flow, pkt->length(), pkt->anno().ingress_ns);
+    core_->record(parsed->flow, pkt->length(), pkt->anno().ingress_ns);
   return pkt;
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -69,22 +70,31 @@ class FlowMonitorCore {
   std::uint64_t overflow_ = 0;
 };
 
-/// Click element: FlowMonitor(MAX_FLOWS=65536).
+/// Click element: FlowMonitor(MAX_FLOWS=65536). The table is allocated in
+/// initialize(); a chain replica bound with share_state_of() records into
+/// its primary's table, so a flow's counts are not split across paths.
 class FlowMonitor final : public click::Element {
  public:
   std::string class_name() const override { return "FlowMonitor"; }
   bool configure(const std::vector<std::string>& args,
                  std::string* err) override;
+  bool initialize(std::string* err) override;
   sim::TimeNs cost_ns() const override { return 60; }
   net::PacketPtr simple_action(net::PacketPtr pkt) override;
   void push_batch(int, click::PacketBatch&& batch) override {
     act_batch_and_forward(std::move(batch));
   }
 
-  FlowMonitorCore& core() noexcept { return core_; }
+  /// Record into `primary`'s table instead of allocating one.
+  void share_state_of(FlowMonitor& primary) noexcept { primary_ = &primary; }
+
+  /// Valid after initialize().
+  FlowMonitorCore& core() noexcept { return *core_; }
 
  private:
-  FlowMonitorCore core_;
+  std::size_t max_flows_ = 1 << 16;
+  FlowMonitor* primary_ = nullptr;
+  std::shared_ptr<FlowMonitorCore> core_;
 };
 
 }  // namespace mdp::nf

@@ -56,20 +56,12 @@ class FlowTable {
     mask_ = slots_.size() - 1;
   }
 
-  // Movable (the owning cores are copied around in configure()).
+  // Move-only: a copy would be a second table of capacity() slots, and
+  // an evict callback capturing its owner would then serve two tables.
   FlowTable(FlowTable&&) noexcept = default;
   FlowTable& operator=(FlowTable&&) noexcept = default;
-  FlowTable(const FlowTable& o)
-      : capacity_(o.capacity_), slots_(o.slots_), mask_(o.mask_),
-        hand_(o.hand_), size_(o.size_), tenant_occ_(o.tenant_occ_),
-        tenant_cap_(o.tenant_cap_), on_evict_(o.on_evict_),
-        evictions_(o.evictions_), cap_rejections_(o.cap_rejections_),
-        pinned_deferrals_(o.pinned_deferrals_) {}
-  FlowTable& operator=(const FlowTable& o) {
-    FlowTable tmp(o);
-    *this = std::move(tmp);
-    return *this;
-  }
+  FlowTable(const FlowTable&) = delete;
+  FlowTable& operator=(const FlowTable&) = delete;
 
   /// Lookup; a hit sets the entry's reference bit (it earns its second
   /// chance). Returns nullptr on miss. The pointer is invalidated by any

@@ -100,9 +100,9 @@ bool LoadBalancer::configure(const std::vector<std::string>& args,
     if (a.rfind("policy ", 0) == 0) {
       std::string p = a.substr(7);
       if (p == "hash") {
-        core_ = LoadBalancerCore(LoadBalancerCore::Policy::kConsistentHash);
+        policy_ = LoadBalancerCore::Policy::kConsistentHash;
       } else if (p == "rr") {
-        core_ = LoadBalancerCore(LoadBalancerCore::Policy::kWeightedRR);
+        policy_ = LoadBalancerCore::Policy::kWeightedRR;
       } else {
         *err = "LoadBalancer: unknown policy '" + p + "'";
         return false;
@@ -126,10 +126,20 @@ bool LoadBalancer::configure(const std::vector<std::string>& args,
       *err = "LoadBalancer: bad DIP '" + addr + "'";
       return false;
     }
-    backends_pending_.push_back(b);
+    backends_.push_back(b);
   }
-  for (const auto& b : backends_pending_) core_.add_backend(b);
-  backends_pending_.clear();
+  return true;
+}
+
+bool LoadBalancer::initialize(std::string* err) {
+  if (core_) return true;
+  if (primary_ == nullptr) {
+    core_ = std::make_shared<LoadBalancerCore>(policy_);
+    for (const auto& b : backends_) core_->add_backend(b);
+    return true;
+  }
+  if (!primary_->initialize(err)) return false;
+  core_ = primary_->core_;
   return true;
 }
 
@@ -137,7 +147,7 @@ net::PacketPtr LoadBalancer::simple_action(net::PacketPtr pkt) {
   auto parsed = net::parse(*pkt);
   if (!parsed || parsed->flow.dst_ip != vip_) return pkt;
 
-  std::uint32_t dip = core_.select(parsed->flow, pkt->anno().tenant_id);
+  std::uint32_t dip = core_->select(parsed->flow, pkt->anno().tenant_id);
   if (dip == 0) return net::PacketPtr{nullptr};  // no healthy backend: drop
 
   net::Ipv4View ip(pkt->data() + parsed->l3_offset);

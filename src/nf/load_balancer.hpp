@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,23 +95,34 @@ class LoadBalancerCore {
 
 /// Click element: LoadBalancer(VIP, DIP1 [w], DIP2 [w], ... [, policy hash|rr]).
 /// Packets whose dst is not the VIP pass through untouched.
+///
+/// The core (ring + affinity table) is built in initialize(). A chain
+/// replica bound with share_state_of() builds none: it selects through its
+/// primary's core, so a flow reaches one backend on every path.
 class LoadBalancer final : public click::Element {
  public:
   std::string class_name() const override { return "LoadBalancer"; }
   bool configure(const std::vector<std::string>& args,
                  std::string* err) override;
+  bool initialize(std::string* err) override;
   sim::TimeNs cost_ns() const override { return 120; }
   net::PacketPtr simple_action(net::PacketPtr pkt) override;
   void push_batch(int, click::PacketBatch&& batch) override {
     act_batch_and_forward(std::move(batch));
   }
 
-  LoadBalancerCore& core() noexcept { return core_; }
+  /// Select through `primary`'s core instead of building one.
+  void share_state_of(LoadBalancer& primary) noexcept { primary_ = &primary; }
+
+  /// Valid after initialize().
+  LoadBalancerCore& core() noexcept { return *core_; }
   std::uint64_t rewritten() const noexcept { return rewritten_; }
 
  private:
-  LoadBalancerCore core_;
-  std::vector<Backend> backends_pending_;  // staged until policy is known
+  LoadBalancerCore::Policy policy_ = LoadBalancerCore::Policy::kConsistentHash;
+  std::vector<Backend> backends_;
+  LoadBalancer* primary_ = nullptr;
+  std::shared_ptr<LoadBalancerCore> core_;
   std::uint32_t vip_ = 0;
   std::uint64_t rewritten_ = 0;
 };

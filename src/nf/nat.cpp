@@ -121,7 +121,17 @@ bool Nat::configure(const std::vector<std::string>& args, std::string* err) {
     return false;
   }
   cfg_ = cfg;
-  table_ = std::make_unique<NatTable>(cfg);
+  return true;
+}
+
+bool Nat::initialize(std::string* err) {
+  if (table_) return true;
+  if (primary_ == nullptr) {
+    table_ = std::make_shared<NatTable>(cfg_);
+    return true;
+  }
+  if (!primary_->initialize(err)) return false;
+  table_ = primary_->table_;
   return true;
 }
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -40,6 +41,12 @@ struct NatConfig {
 class NatTable {
  public:
   explicit NatTable(NatConfig cfg = {});
+  // The evict callback captures `this`: a copy or move would hand freed
+  // ports back to the wrong pool.
+  NatTable(const NatTable&) = delete;
+  NatTable& operator=(const NatTable&) = delete;
+  NatTable(NatTable&&) = delete;
+  NatTable& operator=(NatTable&&) = delete;
 
   struct Binding {
     std::uint32_t external_ip;
@@ -99,16 +106,25 @@ class NatTable {
 /// Click element: Nat(EXTERNAL_IP [, PORT_LO, PORT_HI]). Output 0 carries
 /// translated traffic; packets that cannot be translated (pool exhausted,
 /// non-IP) exit port 1 if connected, else drop.
+///
+/// The binding table is allocated in initialize(). A chain replica bound
+/// with share_state_of() allocates none: it translates through its
+/// primary's table, so a flow keeps one external identity on every path.
 class Nat final : public click::Element {
  public:
   std::string class_name() const override { return "Nat"; }
   int n_outputs() const override { return -1; }
   bool configure(const std::vector<std::string>& args,
                  std::string* err) override;
+  bool initialize(std::string* err) override;
   sim::TimeNs cost_ns() const override { return 180; }
   void push(int port, net::PacketPtr pkt) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
 
+  /// Translate through `primary`'s table instead of allocating one.
+  void share_state_of(Nat& primary) noexcept { primary_ = &primary; }
+
+  /// Valid after initialize().
   NatTable& table() noexcept { return *table_; }
   std::uint64_t translated() const noexcept { return translated_; }
   std::uint64_t failed() const noexcept { return failed_; }
@@ -117,8 +133,9 @@ class Nat final : public click::Element {
   /// Translate + rewrite one packet. Returns the packet for output 0, or
   /// null after diverting it to port 1 / dropping it.
   net::PacketPtr translate_one(net::PacketPtr pkt);
-  std::unique_ptr<NatTable> table_ = std::make_unique<NatTable>();
   NatConfig cfg_{};
+  Nat* primary_ = nullptr;
+  std::shared_ptr<NatTable> table_;
   std::uint64_t translated_ = 0;
   std::uint64_t failed_ = 0;
 };

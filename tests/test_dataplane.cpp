@@ -7,6 +7,10 @@
 
 #include "core/dataplane.hpp"
 #include "net/packet_builder.hpp"
+#include "nf/conntrack.hpp"
+#include "nf/flow_monitor.hpp"
+#include "nf/load_balancer.hpp"
+#include "nf/nat.hpp"
 #include "sim/interference.hpp"
 
 namespace mdp::core {
@@ -107,6 +111,47 @@ TEST(DataPlane, FunctionalChainAppliesNatRewrite) {
   dp.ingress(std::move(pkt));
   eq.run();
   EXPECT_EQ(seen_src, 0x0a0a0a0au) << "NAT must rewrite at the real chain";
+}
+
+/// Address of the per-flow state of every `T` stage, one per path.
+template <typename T, typename Get>
+std::vector<const void*> state_addresses(MdpDataPlane& dp, Get get) {
+  std::vector<const void*> out;
+  for (const auto& e : dp.router().elements())
+    if (auto* t = dynamic_cast<T*>(e.get())) out.push_back(&get(*t));
+  return out;
+}
+
+TEST(DataPlane, PathReplicasShareOneNfStatePerPlane) {
+  constexpr std::size_t kPaths = 8;
+  sim::EventQueue eq;
+  net::PacketPool pool(64, 2048);
+  DataPlaneConfig cfg;
+  cfg.num_paths = kPaths;
+  cfg.chain = "fw-nat-lb-mon";
+  MdpDataPlane dp(eq, pool, cfg, make_scheduler("rr"));
+  cfg.chain = "stateful";
+  MdpDataPlane sdp(eq, pool, cfg, make_scheduler("rr"));
+
+  auto all_one = [&](std::vector<const void*> addrs, const char* what) {
+    ASSERT_EQ(addrs.size(), kPaths) << what;
+    for (std::size_t p = 1; p < kPaths; ++p)
+      EXPECT_EQ(addrs[p], addrs[0]) << what << " of path " << p;
+  };
+  all_one(state_addresses<nf::Nat>(
+              dp, [](nf::Nat& n) -> auto& { return n.table(); }),
+          "NatTable");
+  all_one(state_addresses<nf::LoadBalancer>(
+              dp, [](nf::LoadBalancer& l) -> auto& { return l.core(); }),
+          "LoadBalancerCore");
+  all_one(state_addresses<nf::FlowMonitor>(
+              dp, [](nf::FlowMonitor& m) -> auto& { return m.core(); }),
+          "FlowMonitorCore");
+  all_one(state_addresses<nf::StatefulFirewall>(
+              sdp,
+              [](nf::StatefulFirewall& f) -> auto& { return f.tracker(); }),
+          "ConnTracker");
+  eq.clear();
 }
 
 TEST(DataPlane, FirewallFiltersDarkTraffic) {

@@ -6,7 +6,10 @@
 #include "net/packet_builder.hpp"
 #include "net/vxlan.hpp"
 #include "nf/chain.hpp"
+#include "nf/conntrack.hpp"
 #include "nf/flow_monitor.hpp"
+#include "nf/load_balancer.hpp"
+#include "nf/nat.hpp"
 #include "nf/rate_limiter.hpp"
 
 namespace mdp::nf {
@@ -183,6 +186,81 @@ TEST(ChainBuilder, FunctionalEndToEndThroughFullChain) {
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->flow.src_ip, 0x0a0a0a0au) << "NAT applied";
   EXPECT_NE(parsed->flow.dst_ip, 0x0a006401u) << "LB applied";
+}
+
+TEST(ChainBuilder, DistinctChainsInOneRouterKeepTheirOwnState) {
+  sim::EventQueue eq;
+  net::PacketPool pool(64, 2048);
+  click::Router router(click::Router::Context{&eq, &pool});
+  std::string err;
+  auto a = build_chain(router, "a", ChainSpec::preset("fw-nat-lb"), &err);
+  auto b = build_chain(router, "b", ChainSpec::preset("full"), &err);
+  ASSERT_TRUE(a && b) << err;
+  ASSERT_TRUE(router.initialize(&err)) << err;
+  auto* nat_a = dynamic_cast<Nat*>(a->stages[2]);
+  auto* nat_b = dynamic_cast<Nat*>(b->stages[2]);
+  auto* lb_a = dynamic_cast<LoadBalancer*>(a->stages[3]);
+  auto* lb_b = dynamic_cast<LoadBalancer*>(b->stages[3]);
+  ASSERT_TRUE(nat_a && nat_b && lb_a && lb_b);
+  EXPECT_NE(&nat_a->table(), &nat_b->table());
+  EXPECT_NE(&lb_a->core(), &lb_b->core());
+
+  net::BuildSpec spec;
+  spec.flow = {0x0a010101, 0x0a006401, 1234, 80, 0};
+  a->head->push(0, net::build_udp(pool, spec));
+  EXPECT_EQ(nat_a->table().size(), 1u);
+  EXPECT_EQ(nat_b->table().size(), 0u) << "b never saw the flow";
+}
+
+TEST(ChainBuilder, ReplicaBindsToThePrimaryState) {
+  sim::EventQueue eq;
+  net::PacketPool pool(64, 2048);
+  click::Router router(click::Router::Context{&eq, &pool});
+  std::string err;
+  const ChainSpec spec = ChainSpec::preset("fw-nat-lb");
+  auto primary = build_chain(router, "p", spec, &err);
+  ASSERT_TRUE(primary) << err;
+  auto replica = build_chain(router, "r", spec, &err, &*primary);
+  ASSERT_TRUE(replica) << err;
+  ASSERT_EQ(replica->stages.size(), spec.length());
+  ASSERT_TRUE(router.initialize(&err)) << err;
+  auto* nat_p = dynamic_cast<Nat*>(primary->stages[2]);
+  auto* nat_r = dynamic_cast<Nat*>(replica->stages[2]);
+  ASSERT_TRUE(nat_p && nat_r);
+  EXPECT_EQ(&nat_p->table(), &nat_r->table());
+
+  // A replica of a chain with other stages is refused.
+  EXPECT_FALSE(build_chain(router, "x", ChainSpec::preset("full"), &err,
+                           &*primary));
+  EXPECT_FALSE(build_chain(router, "y", ChainSpec::preset("stateful"), &err,
+                           &*primary));
+}
+
+TEST(ChainBuilder, StandaloneStatefulElementsWorkAfterInitialize) {
+  sim::EventQueue eq;
+  net::PacketPool pool(64, 2048);
+  click::Router router(click::Router::Context{&eq, &pool});
+  std::string err;
+  ASSERT_TRUE(router.configure(
+      "nat :: Nat(10.10.10.10); lb :: LoadBalancer(10.0.100.1, 10.0.200.1, "
+      "policy rr); sfw :: StatefulFirewall(default allow); "
+      "mon :: FlowMonitor(16); q :: Queue(8); "
+      "nat -> lb -> sfw -> mon -> q;",
+      &err))
+      << err;
+  ASSERT_TRUE(router.initialize(&err)) << err;
+
+  net::BuildSpec spec;
+  spec.flow = {0x0a010101, 0x0a006401, 1234, 80, 0};
+  router.find("nat")->push(0, net::build_udp(pool, spec));
+  ASSERT_TRUE(router.find_as<click::Queue>("q")->pull(0));
+  EXPECT_EQ(router.find_as<Nat>("nat")->table().size(), 1u);
+  auto& lb = router.find_as<LoadBalancer>("lb")->core();
+  EXPECT_EQ(lb.policy(), LoadBalancerCore::Policy::kWeightedRR);
+  EXPECT_EQ(lb.num_backends(), 1u);
+  EXPECT_EQ(lb.affinity_entries(), 1u);
+  EXPECT_EQ(router.find_as<StatefulFirewall>("sfw")->tracker().size(), 1u);
+  EXPECT_EQ(router.find_as<FlowMonitor>("mon")->core().num_flows(), 1u);
 }
 
 TEST(ChainBuilder, UnknownPresetFails) {

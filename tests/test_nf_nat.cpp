@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "click/elements.hpp"
 #include "click/router.hpp"
@@ -18,6 +19,13 @@ net::FlowKey flow_n(std::uint32_t n) {
                       static_cast<std::uint16_t>(1000 + n % 50000), 443,
                       net::kIpProtoTcp};
 }
+
+// The evict callback captures the table's `this`: a copied or moved table
+// would return freed ports to the wrong pool.
+static_assert(!std::is_copy_constructible_v<NatTable> &&
+              !std::is_copy_assignable_v<NatTable> &&
+              !std::is_move_constructible_v<NatTable> &&
+              !std::is_move_assignable_v<NatTable>);
 
 TEST(NatTable, BindingIsStablePerFlow) {
   NatTable t;
