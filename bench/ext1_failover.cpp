@@ -1,23 +1,20 @@
 // Extension experiment 1: closed-loop path failure handling.
 //
-// A path silently blackholes (hypervisor wedges its core) mid-run. Three
+// A path silently blackholes (hypervisor wedges its core) mid-run. Two
 // variants of the same run:
 //   none    — no detection: every packet RSS hashes onto path 2 is stuck
 //             until the stall ends (the path looks IDLE — theft is
 //             invisible to backlog-blind dispatch).
-//   health  — PathHealthMonitor: the path is marked down after ~3 missed
-//             probes and traffic fails over, then returns on recovery.
-//   ctrl    — mdp::ctrl Controller: the blackhole produces NO completions,
-//             so the SLO windows are empty; detection comes from the
-//             backlog_limit arm (work that never comes back), then the
-//             full quarantine -> drain -> probation -> reinstate loop runs
-//             against the stall.
+//   ctrl    — mdp::ctrl Controller, ticking every 250us: the blackhole
+//             produces NO completions, so the SLO windows are empty;
+//             detection comes from the backlog_limit arm (work that never
+//             comes back), then the full quarantine -> drain -> probation
+//             -> reinstate loop runs against the stall.
 //
 // With --json, emits one mdp.bench_failover.v1 row per variant (plus the
 // ctrl variant's decision log) so the recovery numbers are scriptable.
 #include "bench_common.hpp"
 #include "core/dataplane.hpp"
-#include "core/health.hpp"
 #include "ctrl/controller.hpp"
 #include "net/packet_builder.hpp"
 #include "workload/traffic_gen.hpp"
@@ -26,10 +23,13 @@ using namespace mdp;
 
 namespace {
 
-enum class Variant { kNone, kHealth, kCtrl };
+enum class Variant { kNone, kCtrl };
 
 constexpr sim::TimeNs kFailAt = 20 * sim::kMillisecond;
 constexpr sim::TimeNs kFailFor = 30 * sim::kMillisecond;
+/// Controller tick period: two backlog breaches (quarantine_after) land
+/// within ~500us of the blackhole.
+constexpr sim::TimeNs kTickNs = 250'000;
 
 struct Result {
   stats::LatencyHistogram latency;
@@ -50,19 +50,6 @@ Result run(Variant variant) {
   core::MdpDataPlane dp(eq, pool, cfg, core::make_scheduler("rss"));
 
   Result res;
-
-  core::HealthConfig hcfg;
-  hcfg.probe_interval_ns = 200'000;
-  hcfg.probe_deadline_ns = 100'000;
-  core::PathHealthMonitor hm(eq, dp, hcfg);
-  if (variant == Variant::kHealth) {
-    hm.set_on_transition([&](std::size_t p, bool up) {
-      if (p != 2) return;
-      if (!up && res.detect_ns == 0) res.detect_ns = eq.now() - kFailAt;
-      if (up) res.recover_ns = eq.now() - (kFailAt + kFailFor);
-    });
-    hm.start();
-  }
 
   // The controller variant: no completions arrive from a blackholed path,
   // so the SLO arm is blind — backlog_limit (stuck work) is the detector.
@@ -89,7 +76,7 @@ Result run(Variant variant) {
     struct Ticker {
       static void arm(sim::EventQueue& eq, ctrl::Controller& c,
                       Result& res) {
-        eq.schedule_in(500'000, [&eq, &c, &res] {
+        eq.schedule_in(kTickNs, [&eq, &c, &res] {
           const std::uint64_t q = c.quarantines();
           const std::uint64_t r = c.reinstatements();
           c.tick(static_cast<std::uint64_t>(eq.now()));
@@ -159,36 +146,29 @@ std::string row_json(const char* variant, const Result& r) {
 
 int main(int argc, char** argv) {
   bench::banner("Ext 1", "Silent path blackhole (30ms on path 2 of 4): "
-                         "no detection vs health probes vs mdp::ctrl "
+                         "no detection vs mdp::ctrl "
                          "(RSS static hashing, ~1.7 Mpps)");
   bench::JsonReportSink sink("ext1", argc, argv);
 
   auto off = run(Variant::kNone);
-  auto health = run(Variant::kHealth);
   auto ctrl = run(Variant::kCtrl);
   sink.add_raw("none", row_json("none", off));
-  sink.add_raw("health", row_json("health", health));
   sink.add_raw("ctrl", row_json("ctrl", ctrl));
 
-  stats::Table t({"metric", "no detection", "health monitor", "mdp::ctrl"});
+  stats::Table t({"metric", "no detection", "mdp::ctrl"});
   t.add_row({"p99", bench::us(off.latency.p99()),
-             bench::us(health.latency.p99()), bench::us(ctrl.latency.p99())});
+             bench::us(ctrl.latency.p99())});
   t.add_row({"p99.9", bench::us(off.latency.p999()),
-             bench::us(health.latency.p999()),
              bench::us(ctrl.latency.p999())});
   t.add_row({"max latency", bench::us(off.latency.max()),
-             bench::us(health.latency.max()), bench::us(ctrl.latency.max())});
+             bench::us(ctrl.latency.max())});
   t.add_row({"egressed", stats::fmt_u64(off.egressed),
-             stats::fmt_u64(health.egressed), stats::fmt_u64(ctrl.egressed)});
-  t.add_row({"failure detection", "-", bench::us(health.detect_ns),
-             bench::us(ctrl.detect_ns)});
-  t.add_row({"recovery detection", "-", bench::us(health.recover_ns),
-             bench::us(ctrl.recover_ns)});
+             stats::fmt_u64(ctrl.egressed)});
+  t.add_row({"failure detection", "-", bench::us(ctrl.detect_ns)});
+  t.add_row({"recovery detection", "-", bench::us(ctrl.recover_ns)});
   bench::print_table(t);
-  bench::note("health detection = probe_interval x down_after + deadline; "
-              "ctrl detection = ticks until backlog_limit breaches twice "
+  bench::note("ctrl detection = ticks until backlog_limit breaches twice "
               "(a blackhole makes no completions, so the SLO arm is "
-              "blind). ctrl recovery includes drain + probation, so it "
-              "trails the health monitor's up-edge by design");
+              "blind); ctrl recovery includes drain + probation");
   return sink.flush() ? 0 : 1;
 }

@@ -86,11 +86,11 @@ void add_ctrl(harness::ScenarioConfig& cfg, std::uint64_t slo_ns) {
 void enable_hedger(harness::ScenarioConfig& cfg) {
   cfg.ctrl.hedger.enabled = true;
   cfg.ctrl.hedger.max_replicas = 2;
-  cfg.ctrl.hedger.raise_threshold = 1.0;
-  cfg.ctrl.hedger.lower_threshold = 0.3;
-  cfg.ctrl.hedger.sustain_ticks = 2;
-  cfg.ctrl.hedger.cooldown_ticks = 10;
-  cfg.ctrl.hedger.min_samples = 32;
+  cfg.ctrl.band.raise_threshold = 1.0;
+  cfg.ctrl.band.lower_threshold = 0.3;
+  cfg.ctrl.band.sustain_ticks = 2;
+  cfg.ctrl.band.cooldown_ticks = 10;
+  cfg.ctrl.band.min_samples = 32;
 }
 
 void enable_hedge_timeout(harness::ScenarioConfig& cfg) {

@@ -2,26 +2,14 @@
 
 namespace mdp::ctrl {
 
-// --- ThreadedPlaneActuator ------------------------------------------------------
-
-void ThreadedPlaneActuator::set_admission(std::size_t path, Admission a) {
-  core::PathAdmission pa = core::PathAdmission::kEnabled;
-  if (a == Admission::kProbeOnly) pa = core::PathAdmission::kProbeOnly;
-  if (a == Admission::kDisabled) pa = core::PathAdmission::kDisabled;
-  dp_.set_path_admission(path, pa);
-}
-
-void ThreadedPlaneActuator::grant_probes(std::size_t path, std::uint64_t n) {
-  dp_.grant_probe_credits(path, n);
-}
-
 // --- SimPlaneActuator -----------------------------------------------------------
 
-void SimPlaneActuator::set_admission(std::size_t path, Admission a) {
+void SimPlaneActuator::set_admission(std::size_t path,
+                                     core::PathAdmission a) {
   // The sim plane's candidate mask is binary: schedulers skip down paths.
   // Probe-only probation rides on top — the path stays masked and the
   // probes go straight onto its core (grant_probes), bypassing dispatch.
-  dp_.set_path_up(path, a == Admission::kEnabled);
+  dp_.set_path_up(path, a == core::PathAdmission::kEnabled);
 }
 
 void SimPlaneActuator::grant_probes(std::size_t path, std::uint64_t n) {
@@ -30,7 +18,7 @@ void SimPlaneActuator::grant_probes(std::size_t path, std::uint64_t n) {
     ++probes_sent_;
     // High-priority so the probe measures the core's responsiveness (the
     // stall), not the drained queue; visible=false keeps it out of the
-    // schedulers' backlog view, like health probes.
+    // schedulers' backlog view.
     dp_.core(path).submit(
         probe_cost_ns_,
         [this, path, start](sim::TimeNs now) {

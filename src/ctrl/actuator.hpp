@@ -32,20 +32,14 @@ namespace mdp::ctrl {
 
 enum class TenantState : std::uint8_t;  // ctrl/tenant.hpp
 
-/// Per-path admission level the controller can set.
-enum class Admission : std::uint8_t {
-  kEnabled = 0,   ///< normal candidate for the dispatch policy
-  kProbeOnly,     ///< only controller-granted probe packets admitted
-  kDisabled,      ///< masked out entirely
-};
-
 class Actuator {
  public:
   virtual ~Actuator() = default;
   virtual std::size_t num_paths() const = 0;
 
-  /// Mask/unmask a path in the dispatch candidate set.
-  virtual void set_admission(std::size_t path, Admission a) = 0;
+  /// Mask/unmask a path in the dispatch candidate set, or admit only
+  /// controller-granted probes (core::PathAdmission).
+  virtual void set_admission(std::size_t path, core::PathAdmission a) = 0;
 
   /// Allow `n` probe packets onto a kProbeOnly path (probation traffic).
   virtual void grant_probes(std::size_t path, std::uint64_t n) = 0;
@@ -90,8 +84,12 @@ class ThreadedPlaneActuator : public Actuator {
   explicit ThreadedPlaneActuator(core::ThreadedDataPlane& dp) : dp_(dp) {}
 
   std::size_t num_paths() const override { return dp_.num_paths(); }
-  void set_admission(std::size_t path, Admission a) override;
-  void grant_probes(std::size_t path, std::uint64_t n) override;
+  void set_admission(std::size_t path, core::PathAdmission a) override {
+    dp_.set_path_admission(path, a);
+  }
+  void grant_probes(std::size_t path, std::uint64_t n) override {
+    dp_.grant_probe_credits(path, n);
+  }
   std::uint64_t path_backlog(std::size_t path) const override {
     return dp_.path_inflight(path);
   }
@@ -113,7 +111,7 @@ class SimPlaneActuator : public Actuator {
       : eq_(eq), dp_(dp), monitor_(monitor), probe_cost_ns_(probe_cost_ns) {}
 
   std::size_t num_paths() const override { return dp_.num_paths(); }
-  void set_admission(std::size_t path, Admission a) override;
+  void set_admission(std::size_t path, core::PathAdmission a) override;
   void grant_probes(std::size_t path, std::uint64_t n) override;
   std::uint64_t path_backlog(std::size_t path) const override {
     return dp_.inflight(path);

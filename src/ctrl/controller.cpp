@@ -25,9 +25,9 @@ Controller::Controller(Config cfg, Actuator& actuator, SloMonitor& monitor)
     : cfg_(cfg),
       act_(actuator),
       mon_(monitor),
-      hedger_(cfg.hedger),
+      hedger_(cfg.hedger, cfg.band),
       hedge_timeout_(cfg.hedge_timeout),
-      gran_(cfg.granularity) {
+      gran_(cfg.granularity, cfg.band) {
   mon_.set_slo_target_ns(cfg_.slo_target_ns);
   paths_.resize(act_.num_paths());
   for (auto& p : paths_) p.fsm = PathStateMachine(cfg_.path);
@@ -197,7 +197,7 @@ void Controller::tick(std::uint64_t now_ns) {
           // confirmation inside the hold window the path goes back to
           // full admission (and the episode resolves as a false positive
           // unless a breach landed meanwhile).
-          act_.set_admission(p, Admission::kEnabled);
+          act_.set_admission(p, core::PathAdmission::kEnabled);
           pc.pre_quarantined = false;
           ++forecast_restores_;
           Decision d;
@@ -225,7 +225,7 @@ void Controller::tick(std::uint64_t now_ns) {
       } else if (fc.actionable) {
         if (fc999 >= cfg_.forecast.prequarantine_threshold * slo &&
             serving_count() > cfg_.min_serving_paths) {
-          act_.set_admission(p, Admission::kProbeOnly);
+          act_.set_admission(p, core::PathAdmission::kProbeOnly);
           act_.grant_probes(p, cfg_.forecast.probe_grant);
           pc.pre_quarantined = true;
           pc.pre_quarantined_since = tick_;
@@ -380,7 +380,7 @@ void Controller::tick(std::uint64_t now_ns) {
         case PathState::kQuarantined:
           reason = before == PathState::kReinstated ? "probe_breach"
                                                     : pc.last_breach_reason;
-          act_.set_admission(p, Admission::kDisabled);
+          act_.set_admission(p, core::PathAdmission::kDisabled);
           break;
         case PathState::kDraining:
           reason = "drain_start";
@@ -388,11 +388,11 @@ void Controller::tick(std::uint64_t now_ns) {
           break;
         case PathState::kReinstated:
           reason = "drained";
-          act_.set_admission(p, Admission::kProbeOnly);
+          act_.set_admission(p, core::PathAdmission::kProbeOnly);
           break;
         case PathState::kActive:
           reason = "probation_passed";
-          act_.set_admission(p, Admission::kEnabled);
+          act_.set_admission(p, core::PathAdmission::kEnabled);
           break;
       }
       Decision d;

@@ -15,7 +15,12 @@
 //      blackholes that produce NO completions — backlog vs backlog_limit),
 //   3. feed the PathStateMachine and actuate its transitions
 //      (mask / flush+drain / probe-only probation / re-enable),
-//   4. run the AdaptiveHedger on the worst serving-path p99.
+//   4. run the replication levers on the worst serving-path p99: the
+//      AdaptiveHedger (how many copies) and, when enabled, the
+//      GranularityController (what gets copied). Both judge the same
+//      Config::band (ctrl/hysteresis.hpp) — one raise/lower threshold
+//      pair, one sustain/cooldown/min-samples discipline — each on its
+//      own Hysteresis, so each lever still ratchets on its own cooldown.
 // Every transition and every hedge change is appended to a bounded
 // decision log, exported as the "ctrl" section of mdp.run_report.v2
 // (docs/OBSERVABILITY.md) so benches can show *when* and *why* the
@@ -111,12 +116,15 @@ struct Config {
   std::uint64_t probe_grant_per_tick = 8;
   /// Never quarantine below this many ACTIVE paths.
   std::size_t min_serving_paths = 1;
+  /// The band both replication levers (hedger, granularity) judge the
+  /// worst serving-path p99 against.
+  Band band{};
   HedgerConfig hedger{};
   HedgeTimeoutConfig hedge_timeout{};
   /// The third lever: replication granularity (none / packet-hedge /
   /// flow-replica / both), moved from the same worst-serving-path
-  /// evidence as the hedger plus the breach judge's stage attribution.
-  /// Disabled by default.
+  /// evidence and band as the hedger plus the breach judge's stage
+  /// attribution. Disabled by default.
   GranularityConfig granularity{};
   /// Stage-aware actuation: when a breaching ACTIVE window's dominant
   /// stage is `service` (the path's core is slow, not its queue deep),

@@ -6,11 +6,11 @@
 
 namespace mdp::ctrl {
 
-AdaptiveHedger::AdaptiveHedger(HedgerConfig cfg) : cfg_(cfg) {
+AdaptiveHedger::AdaptiveHedger(HedgerConfig cfg, Band band)
+    : cfg_(cfg), band_(band), hys_(band.cooldown_ticks) {
   if (cfg_.min_replicas == 0) cfg_.min_replicas = 1;
   if (cfg_.max_replicas < cfg_.min_replicas)
     cfg_.max_replicas = cfg_.min_replicas;
-  if (cfg_.sustain_ticks < 1) cfg_.sustain_ticks = 1;
   replicas_ = cfg_.min_replicas;
 }
 
@@ -18,37 +18,17 @@ std::size_t AdaptiveHedger::update(std::uint64_t worst_p99_ns,
                                    std::uint64_t samples,
                                    std::uint64_t slo_target_ns) {
   if (!cfg_.enabled || slo_target_ns == 0) return replicas_;
-  if (cooldown_ > 0) --cooldown_;
-  if (samples < cfg_.min_samples) {
-    // No signal: hold streaks, don't let silence accumulate toward a
-    // change (mirrors the state machine's has_signal rule).
-    raise_streak_ = 0;
-    lower_streak_ = 0;
-    return replicas_;
-  }
-  const double inflation = static_cast<double>(worst_p99_ns) /
-                           static_cast<double>(slo_target_ns);
-  if (inflation > cfg_.raise_threshold) {
-    lower_streak_ = 0;
-    if (++raise_streak_ >= cfg_.sustain_ticks && cooldown_ == 0 &&
-        replicas_ < cfg_.max_replicas) {
-      ++replicas_;
-      ++raises_;
-      raise_streak_ = 0;
-      cooldown_ = cfg_.cooldown_ticks;
-    }
-  } else if (inflation < cfg_.lower_threshold) {
-    raise_streak_ = 0;
-    if (++lower_streak_ >= cfg_.sustain_ticks && cooldown_ == 0 &&
-        replicas_ > cfg_.min_replicas) {
-      --replicas_;
-      ++lowers_;
-      lower_streak_ = 0;
-      cooldown_ = cfg_.cooldown_ticks;
-    }
-  } else {
-    raise_streak_ = 0;
-    lower_streak_ = 0;
+  hys_.observe(band_.judge(worst_p99_ns, samples, slo_target_ns));
+  if (hys_.sustained(Direction::kUp, band_.sustain_ticks) &&
+      replicas_ < cfg_.max_replicas) {
+    ++replicas_;
+    ++raises_;
+    hys_.moved();
+  } else if (hys_.sustained(Direction::kDown, band_.sustain_ticks) &&
+             replicas_ > cfg_.min_replicas) {
+    --replicas_;
+    ++lowers_;
+    hys_.moved();
   }
   return replicas_;
 }
@@ -108,10 +88,10 @@ std::uint64_t HedgeTimeoutController::update(std::uint64_t p50_ns,
 
 // --- GranularityController ------------------------------------------------------
 
-GranularityController::GranularityController(GranularityConfig cfg)
-    : cfg_(cfg), granularity_(cfg.baseline) {
-  if (cfg_.sustain_ticks < 1) cfg_.sustain_ticks = 1;
-}
+GranularityController::GranularityController(GranularityConfig cfg,
+                                             Band band)
+    : cfg_(cfg), band_(band), hys_(band.cooldown_ticks),
+      granularity_(cfg.baseline) {}
 
 core::Granularity GranularityController::escalate(
     const char* dominant_stage) const {
@@ -158,39 +138,16 @@ core::Granularity GranularityController::update(std::uint64_t worst_p99_ns,
                                                 std::uint64_t slo_target_ns,
                                                 const char* dominant_stage) {
   if (!cfg_.enabled || slo_target_ns == 0) return granularity_;
-  if (cooldown_ > 0) --cooldown_;
-  if (samples < cfg_.min_samples) {
-    raise_streak_ = 0;
-    lower_streak_ = 0;
-    return granularity_;
-  }
-  const double inflation = static_cast<double>(worst_p99_ns) /
-                           static_cast<double>(slo_target_ns);
-  if (inflation > cfg_.raise_threshold) {
-    lower_streak_ = 0;
-    if (++raise_streak_ >= cfg_.sustain_ticks && cooldown_ == 0) {
-      const core::Granularity next = escalate(dominant_stage);
-      raise_streak_ = 0;
-      if (next != granularity_) {
-        granularity_ = next;
-        ++shifts_;
-        cooldown_ = cfg_.cooldown_ticks;
-      }
-    }
-  } else if (inflation < cfg_.lower_threshold) {
-    raise_streak_ = 0;
-    if (++lower_streak_ >= cfg_.sustain_ticks && cooldown_ == 0) {
-      const core::Granularity next = deescalate();
-      lower_streak_ = 0;
-      if (next != granularity_) {
-        granularity_ = next;
-        ++shifts_;
-        cooldown_ = cfg_.cooldown_ticks;
-      }
-    }
-  } else {
-    raise_streak_ = 0;
-    lower_streak_ = 0;
+  hys_.observe(band_.judge(worst_p99_ns, samples, slo_target_ns));
+  core::Granularity next = granularity_;
+  if (hys_.sustained(Direction::kUp, band_.sustain_ticks))
+    next = escalate(dominant_stage);
+  else if (hys_.sustained(Direction::kDown, band_.sustain_ticks))
+    next = deescalate();
+  if (next != granularity_) {
+    granularity_ = next;
+    ++shifts_;
+    hys_.moved();
   }
   return granularity_;
 }

@@ -8,20 +8,22 @@
 // tail inflation vs the SLO target:
 //
 //   inflation = serving-path worst p99 / slo_target
-//   inflation > raise_threshold  (sustained)  -> replicas + 1
-//   inflation < lower_threshold  (sustained)  -> replicas - 1
+//   inflation > band.raise_threshold  (sustained)  -> replicas + 1
+//   inflation < band.lower_threshold  (sustained)  -> replicas - 1
 //
-// Both edges require `sustain_ticks` consecutive out-of-band windows and
-// respect a cooldown after every change, so the factor ratchets instead of
-// oscillating with one noisy window — the same hysteresis discipline as
-// the PathStateMachine. Pure decision logic; the Controller actuates the
-// returned factor through Actuator::set_replicas().
+// The band (ctrl/hysteresis.hpp) is ctrl::Config::band, the one band both
+// replication levers judge against: this hedger and the granularity lever
+// below each run their own ctrl::Hysteresis over it, so each needs
+// `sustain_ticks` consecutive out-of-band windows and honours a cooldown
+// after every move of its own. Pure decision logic; the Controller
+// actuates the returned factor through Actuator::set_replicas().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "core/granularity.hpp"
+#include "ctrl/hysteresis.hpp"
 
 namespace mdp::ctrl {
 
@@ -29,21 +31,11 @@ struct HedgerConfig {
   bool enabled = true;
   std::size_t min_replicas = 1;
   std::size_t max_replicas = 3;
-  /// Raise when p99 exceeds raise_threshold x SLO target.
-  double raise_threshold = 1.0;
-  /// Lower when p99 falls below lower_threshold x SLO target.
-  double lower_threshold = 0.5;
-  /// Consecutive qualifying windows before a change.
-  int sustain_ticks = 2;
-  /// Ticks after a change during which no further change happens.
-  int cooldown_ticks = 4;
-  /// Windows smaller than this carry no signal.
-  std::uint64_t min_samples = 32;
 };
 
 class AdaptiveHedger {
  public:
-  explicit AdaptiveHedger(HedgerConfig cfg = {});
+  explicit AdaptiveHedger(HedgerConfig cfg = {}, Band band = {});
 
   /// One controller tick: feed the worst serving-path p99 and the window's
   /// sample count; returns the (possibly updated) replication factor.
@@ -57,13 +49,11 @@ class AdaptiveHedger {
   /// flapping forecast can't ratchet replicas faster than measurement
   /// could. Returns the (possibly unchanged) factor.
   std::size_t pre_raise() {
-    if (!cfg_.enabled || cooldown_ > 0 || replicas_ >= cfg_.max_replicas)
+    if (!cfg_.enabled || hys_.cooling() || replicas_ >= cfg_.max_replicas)
       return replicas_;
     ++replicas_;
     ++pre_raises_;
-    raise_streak_ = 0;
-    lower_streak_ = 0;
-    cooldown_ = cfg_.cooldown_ticks;
+    hys_.moved();
     return replicas_;
   }
 
@@ -74,10 +64,9 @@ class AdaptiveHedger {
 
  private:
   HedgerConfig cfg_;
+  Band band_;
+  Hysteresis hys_;
   std::size_t replicas_;
-  int raise_streak_ = 0;
-  int lower_streak_ = 0;
-  int cooldown_ = 0;
   std::uint64_t raises_ = 0;
   std::uint64_t lowers_ = 0;
   std::uint64_t pre_raises_ = 0;
@@ -182,7 +171,7 @@ class HedgeTimeoutController {
 //   sustained calm                          -> step back down toward the
 //                                              configured baseline
 //
-// Same sustain/cooldown hysteresis as the hedger: one noisy window never
+// Same band as the hedger, its own Hysteresis: one noisy window never
 // moves the lever. Pure decision logic; the Controller actuates through
 // Actuator::set_granularity() and logs "granularity_shift" decisions.
 
@@ -190,18 +179,11 @@ struct GranularityConfig {
   bool enabled = false;
   /// The resting granularity while the tail is in-band.
   core::Granularity baseline = core::Granularity::kPacketHedge;
-  /// Escalate when p99 exceeds raise_threshold x SLO target (sustained).
-  double raise_threshold = 1.0;
-  /// De-escalate when p99 falls below lower_threshold x SLO (sustained).
-  double lower_threshold = 0.5;
-  int sustain_ticks = 2;
-  int cooldown_ticks = 4;
-  std::uint64_t min_samples = 32;
 };
 
 class GranularityController {
  public:
-  explicit GranularityController(GranularityConfig cfg = {});
+  explicit GranularityController(GranularityConfig cfg = {}, Band band = {});
 
   /// One controller tick: worst serving-path p99/samples plus the breach
   /// judge's dominant-stage attribution ("" or nullptr = no stage
@@ -218,10 +200,9 @@ class GranularityController {
   core::Granularity deescalate() const;
 
   GranularityConfig cfg_;
+  Band band_;
+  Hysteresis hys_;
   core::Granularity granularity_;
-  int raise_streak_ = 0;
-  int lower_streak_ = 0;
-  int cooldown_ = 0;
   std::uint64_t shifts_ = 0;
 };
 

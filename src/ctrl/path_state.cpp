@@ -23,14 +23,12 @@ bool PathStateMachine::on_tick(const TickInput& in) {
     case PathState::kActive:
       // A tick without signal breaks the streak: consecutive means
       // consecutive *judged* windows, and silence is not evidence.
-      if (in.has_signal && in.breach) {
-        if (++breach_streak_ >= cfg_.quarantine_after) {
-          state_ = PathState::kQuarantined;
-          ++quarantines_;
-          breach_streak_ = 0;
-        }
-      } else {
-        breach_streak_ = 0;
+      breach_.observe(in.has_signal && in.breach ? Direction::kUp
+                                                 : Direction::kHold);
+      if (breach_.sustained(Direction::kUp, cfg_.quarantine_after)) {
+        state_ = PathState::kQuarantined;
+        ++quarantines_;
+        breach_.moved();
       }
       break;
 
@@ -60,7 +58,6 @@ bool PathStateMachine::on_tick(const TickInput& in) {
           state_ = PathState::kActive;
           ++reinstatements_;
           probation_ = 0;
-          breach_streak_ = 0;
         }
       }
       break;

@@ -6,8 +6,9 @@
 //   REINSTATED ──(probation_probes clean probe observations)──> ACTIVE
 //   REINSTATED ──(any breach while on probation)──────────────> QUARANTINED
 //
-// Hysteresis lives here: a single breaching window can never quarantine a
-// path (quarantine_after >= 2 by validation), and a reinstated path must
+// Hysteresis lives here: the ACTIVE breach streak is a ctrl::Hysteresis,
+// so a single breaching window can never quarantine a path
+// (quarantine_after >= 2 by validation), and a reinstated path must
 // prove itself over a whole probation window before it takes real traffic
 // again — so a path cannot flap on alternating good/bad samples. The
 // machine is pure (no clocks, no actuators): the Controller feeds it one
@@ -15,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+
+#include "ctrl/hysteresis.hpp"
 
 namespace mdp::ctrl {
 
@@ -52,7 +55,7 @@ class PathStateMachine {
   bool on_tick(const TickInput& in);
 
   PathState state() const noexcept { return state_; }
-  int breach_streak() const noexcept { return breach_streak_; }
+  std::uint64_t breach_streak() const noexcept { return breach_.up_streak(); }
   std::uint64_t probation_progress() const noexcept { return probation_; }
 
   std::uint64_t quarantines() const noexcept { return quarantines_; }
@@ -61,7 +64,7 @@ class PathStateMachine {
  private:
   PathStateConfig cfg_;
   PathState state_ = PathState::kActive;
-  int breach_streak_ = 0;
+  Hysteresis breach_;
   std::uint64_t probation_ = 0;
   std::uint64_t quarantines_ = 0;
   std::uint64_t reinstatements_ = 0;

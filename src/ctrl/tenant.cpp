@@ -13,52 +13,39 @@ const char* tenant_state_name(TenantState s) noexcept {
 }
 
 bool TenantStateMachine::on_window(bool storming) {
-  if (storming) {
-    ++storm_streak_;
-    calm_streak_ = 0;
-  } else {
-    ++calm_streak_;
-    storm_streak_ = 0;
-  }
+  streaks_.observe(storming ? Direction::kUp : Direction::kDown);
   const TenantState before = state_;
   switch (state_) {
     case TenantState::kAdmitted:
-      if (storm_streak_ >= throttle_after_) {
-        state_ = TenantState::kThrottled;
+      if (streaks_.sustained(Direction::kUp, throttle_after_)) {
+        move(TenantState::kThrottled);
         ++throttles_;
-        storm_streak_ = 0;
       }
       break;
     case TenantState::kThrottled:
       // Still storming through the throttle: escalate to a full shed.
-      if (storm_streak_ >= shed_after_) {
-        state_ = TenantState::kShed;
+      if (streaks_.sustained(Direction::kUp, shed_after_)) {
+        move(TenantState::kShed);
         ++sheds_;
-        storm_streak_ = 0;
-      } else if (calm_streak_ >= cooldown_windows_) {
-        state_ = TenantState::kAdmitted;
+      } else if (streaks_.sustained(Direction::kDown, cooldown_windows_)) {
+        move(TenantState::kAdmitted);
         ++reinstates_;
-        calm_streak_ = 0;
       }
       break;
     case TenantState::kShed:
       // Arrivals measure OFFERED load while shed (nothing is admitted),
       // so calm here means the storm source actually stopped.
-      if (calm_streak_ >= cooldown_windows_) {
-        state_ = TenantState::kProbation;
-        calm_streak_ = 0;
-      }
+      if (streaks_.sustained(Direction::kDown, cooldown_windows_))
+        move(TenantState::kProbation);
       break;
     case TenantState::kProbation:
       // Probation has no hysteresis: one storming window re-sheds.
       if (storming) {
-        state_ = TenantState::kShed;
+        move(TenantState::kShed);
         ++sheds_;
-        storm_streak_ = 0;
-      } else if (calm_streak_ >= probation_windows_) {
-        state_ = TenantState::kAdmitted;
+      } else if (streaks_.sustained(Direction::kDown, probation_windows_)) {
+        move(TenantState::kAdmitted);
         ++reinstates_;
-        calm_streak_ = 0;
       }
       break;
   }

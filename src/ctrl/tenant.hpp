@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "ctrl/hysteresis.hpp"
 #include "ctrl/slo_monitor.hpp"
 #include "stats/cacheline.hpp"
 
@@ -77,17 +78,20 @@ struct TenantAdmissionConfig {
 };
 
 /// Pure hysteresis FSM for one tenant, windowed like PathStateMachine:
-/// one on_window(storming) call per controller tick. Tick-thread only.
+/// one on_window(storming) call per controller tick. Storming windows
+/// count up and calm ones down on a ctrl::Hysteresis; each state reads
+/// its own streak thresholds off it. Tick-thread only.
 class TenantStateMachine {
  public:
   TenantStateMachine() : TenantStateMachine(2, 2, 4, 4) {}
+  /// A threshold of 0 acts as 1 (Hysteresis::sustained).
   TenantStateMachine(std::uint32_t throttle_after, std::uint32_t shed_after,
                      std::uint32_t cooldown_windows,
                      std::uint32_t probation_windows)
-      : throttle_after_(throttle_after ? throttle_after : 1),
-        shed_after_(shed_after ? shed_after : 1),
-        cooldown_windows_(cooldown_windows ? cooldown_windows : 1),
-        probation_windows_(probation_windows ? probation_windows : 1) {}
+      : throttle_after_(throttle_after),
+        shed_after_(shed_after),
+        cooldown_windows_(cooldown_windows),
+        probation_windows_(probation_windows) {}
 
   /// Advance one window. Returns true when the state changed.
   bool on_window(bool storming);
@@ -98,13 +102,18 @@ class TenantStateMachine {
   std::uint64_t reinstates() const noexcept { return reinstates_; }
 
  private:
+  /// Moves to `next` and starts both streaks over.
+  void move(TenantState next) {
+    state_ = next;
+    streaks_.moved();
+  }
+
   std::uint32_t throttle_after_;
   std::uint32_t shed_after_;
   std::uint32_t cooldown_windows_;
   std::uint32_t probation_windows_;
   TenantState state_ = TenantState::kAdmitted;
-  std::uint32_t storm_streak_ = 0;
-  std::uint32_t calm_streak_ = 0;
+  Hysteresis streaks_;
   std::uint64_t throttles_ = 0;
   std::uint64_t sheds_ = 0;
   std::uint64_t reinstates_ = 0;

@@ -39,7 +39,13 @@ bool FlowCache::configure(const std::vector<std::string>& args,
     *err = "FlowCache(CAPACITY)";
     return false;
   }
-  cache_ = FlowCacheCore(cap);
+  capacity_ = cap;
+  return true;
+}
+
+bool FlowCache::initialize(std::string* err) {
+  (void)err;
+  if (!cache_) cache_ = std::make_unique<FlowCacheCore>(capacity_);
   return true;
 }
 
@@ -94,7 +100,7 @@ void FlowCache::push(int port, net::PacketPtr pkt) {
       a.new_dst_ip = parsed->flow.dst_ip;
       a.new_src_port = parsed->flow.src_port;
       a.new_dst_port = parsed->flow.dst_port;
-      cache_.install(it->second, a, pkt->anno().tenant_id);
+      cache_->install(it->second, a, pkt->anno().tenant_id);
       pending_.erase(it);
     }
     pkt->anno().cache_cookie = 0;
@@ -108,7 +114,7 @@ void FlowCache::push(int port, net::PacketPtr pkt) {
     return;
   }
 
-  if (const CachedAction* a = cache_.lookup(parsed->flow)) {
+  if (const CachedAction* a = cache_->lookup(parsed->flow)) {
     if (a->drop) {
       ++dropped_;
       return;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -84,7 +85,8 @@ class FlowCacheCore {
 ///            it, and emits on output 0.
 /// The original flow of a slow-path packet is carried in a stash keyed by
 /// a cookie annotation (paint is too small; we use flow_hash as cookie,
-/// set on the miss path).
+/// set on the miss path). The cache table is allocated once, in
+/// initialize(), at the configured capacity.
 class FlowCache final : public click::Element {
  public:
   std::string class_name() const override { return "FlowCache"; }
@@ -92,17 +94,20 @@ class FlowCache final : public click::Element {
   int n_outputs() const override { return -1; }
   bool configure(const std::vector<std::string>& args,
                  std::string* err) override;
+  bool initialize(std::string* err) override;
   sim::TimeNs cost_ns() const override { return 45; }  // fast-path cost
   void push(int port, net::PacketPtr pkt) override;
 
-  FlowCacheCore& core() noexcept { return cache_; }
+  /// Valid after initialize().
+  FlowCacheCore& core() noexcept { return *cache_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
   void apply(const CachedAction& a, net::Packet& pkt,
              const net::ParsedPacket& parsed);
 
-  FlowCacheCore cache_;
+  std::size_t capacity_ = 1 << 15;
+  std::unique_ptr<FlowCacheCore> cache_;
   // Original 5-tuple of in-flight slow-path packets, keyed by cookie.
   std::unordered_map<std::uint64_t, net::FlowKey> pending_;
   std::uint64_t next_cookie_ = 1;

@@ -52,7 +52,7 @@ enum class EventType : std::uint8_t {
   kReorderRelease,     ///< resequencer released a packet (b = flow|seq)
   kCtrlDecision,       ///< controller logged a decision (a = reason code)
   kFaultInject,        ///< a fault lane armed (a=1) or cleared (a=0)
-  kAdmissionFlip,      ///< path admission changed (a = new Admission)
+  kAdmissionFlip,      ///< path admission changed (a = new PathAdmission)
   kUser,               ///< free-form, caller-defined payload
   kCount,
 };

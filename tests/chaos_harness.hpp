@@ -331,7 +331,7 @@ class ChaosRig {
 
     queues_.clear();
     queues_.resize(cfg_.num_paths);
-    admission_.assign(cfg_.num_paths, ctrl::Admission::kEnabled);
+    admission_.assign(cfg_.num_paths, core::PathAdmission::kEnabled);
     probe_credits_.assign(cfg_.num_paths, 0);
     replicas_ = 1;
     hedge_timeout_ns_ = 0;
@@ -694,7 +694,7 @@ class ChaosRig {
     RigActuator(ChaosRig& rig, io::LoopbackBackend& wire)
         : rig_(rig), wire_(wire) {}
     std::size_t num_paths() const override { return rig_.cfg_.num_paths; }
-    void set_admission(std::size_t path, ctrl::Admission a) override {
+    void set_admission(std::size_t path, core::PathAdmission a) override {
       rig_.admission_[path] = a;
       rig_.rig_chan_->emit(rig_.now_ns_, telem::EventType::kAdmissionFlip,
                            static_cast<std::uint16_t>(path),
@@ -766,15 +766,15 @@ class ChaosRig {
 
   bool admissible(std::size_t p) const {
     switch (admission_[p]) {
-      case ctrl::Admission::kEnabled: return true;
-      case ctrl::Admission::kProbeOnly: return probe_credits_[p] > 0;
-      case ctrl::Admission::kDisabled: return false;
+      case core::PathAdmission::kEnabled: return true;
+      case core::PathAdmission::kProbeOnly: return probe_credits_[p] > 0;
+      case core::PathAdmission::kDisabled: return false;
     }
     return false;
   }
 
   void consume_credit(std::size_t p) {
-    if (admission_[p] == ctrl::Admission::kProbeOnly &&
+    if (admission_[p] == core::PathAdmission::kProbeOnly &&
         probe_credits_[p] > 0)
       --probe_credits_[p];
   }
@@ -842,7 +842,7 @@ class ChaosRig {
   ChaosScenarioConfig cfg_;
   std::unique_ptr<ctrl::SloMonitor> mon_;
   std::vector<std::deque<net::PacketPtr>> queues_;
-  std::vector<ctrl::Admission> admission_;
+  std::vector<core::PathAdmission> admission_;
   std::vector<std::uint64_t> probe_credits_;
   std::size_t replicas_ = 1;
   std::uint64_t hedge_timeout_ns_ = 0;

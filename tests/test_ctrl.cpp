@@ -2,9 +2,14 @@
 //
 // Unit layer: PathStateMachine hysteresis edges, SloMonitor windows (incl.
 // a two-writer concurrency smoke — the monitor is the only cross-thread
-// surface), AdaptiveHedger sustain/cooldown discipline, and the Controller
-// against a scripted FakeActuator (lifecycle, capacity guard, backlog
-// breach, probe breach, decision log + report JSON).
+// surface), the shared Hysteresis/Band primitive, AdaptiveHedger and
+// GranularityController on it, and the Controller against a scripted
+// FakeActuator (lifecycle, capacity guard, backlog breach, probe breach,
+// decision log + report JSON).
+//
+// Sim closed loop: Controller + SimPlaneActuator + MdpDataPlane against a
+// silent core stall (mask, drain, probe probation, reinstate) and a short
+// blip that must not quarantine.
 //
 // End-to-end layer: ThreadedDataPlane over a LoopbackBackend pair with a
 // per-path delay fault lane. The driver measures delivery lag in *driver
@@ -17,10 +22,12 @@
 // which is what makes this binary meaningful under TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -37,7 +44,7 @@
 namespace mdp {
 namespace {
 
-using ctrl::Admission;
+using core::PathAdmission;
 using ctrl::PathState;
 
 // ---------------------------------------------------------------------------
@@ -60,10 +67,10 @@ TEST(PathStateMachine, SingleBreachNeverQuarantines) {
   ctrl::PathStateMachine fsm({.quarantine_after = 2});
   EXPECT_FALSE(fsm.on_tick(breach_tick()));
   EXPECT_EQ(fsm.state(), PathState::kActive);
-  EXPECT_EQ(fsm.breach_streak(), 1);
+  EXPECT_EQ(fsm.breach_streak(), 1u);
   // The spike passes; the streak resets.
   EXPECT_FALSE(fsm.on_tick(clean_tick()));
-  EXPECT_EQ(fsm.breach_streak(), 0);
+  EXPECT_EQ(fsm.breach_streak(), 0u);
   EXPECT_FALSE(fsm.on_tick(breach_tick()));
   EXPECT_EQ(fsm.state(), PathState::kActive);
 }
@@ -75,7 +82,7 @@ TEST(PathStateMachine, SilenceBreaksTheStreak) {
   fsm.on_tick(ctrl::TickInput{});
   fsm.on_tick(breach_tick());
   EXPECT_EQ(fsm.state(), PathState::kActive);
-  EXPECT_EQ(fsm.breach_streak(), 1);
+  EXPECT_EQ(fsm.breach_streak(), 1u);
 }
 
 TEST(PathStateMachine, QuarantineAfterClampsToTwo) {
@@ -307,22 +314,83 @@ TEST(SloMonitor, ConcurrentObserveSpanWhileHarvesting) {
 }
 
 // ---------------------------------------------------------------------------
-// AdaptiveHedger: sustain + cooldown discipline.
+// Hysteresis + Band: the one sustain/cooldown primitive.
 
-ctrl::HedgerConfig hedger_cfg() {
-  ctrl::HedgerConfig cfg;
-  cfg.min_replicas = 1;
-  cfg.max_replicas = 3;
-  cfg.raise_threshold = 1.0;
-  cfg.lower_threshold = 0.5;
-  cfg.sustain_ticks = 2;
-  cfg.cooldown_ticks = 3;
-  cfg.min_samples = 10;
-  return cfg;
+using ctrl::Direction;
+
+TEST(Hysteresis, SustainCooldownAndHold) {
+  ctrl::Hysteresis h(/*cooldown_ticks=*/2);
+  h.observe(Direction::kUp);
+  EXPECT_FALSE(h.sustained(Direction::kUp, 2));  // one window is a spike
+  h.observe(Direction::kHold);  // silence is not evidence: streak broken
+  h.observe(Direction::kUp);
+  EXPECT_FALSE(h.sustained(Direction::kUp, 2));
+  h.observe(Direction::kUp);
+  EXPECT_TRUE(h.sustained(Direction::kUp, 2));
+  EXPECT_FALSE(h.sustained(Direction::kDown, 2));
+  h.moved();
+  EXPECT_EQ(h.up_streak(), 0u);
+  // Windows keep counting while the cooldown runs; none reads sustained.
+  h.observe(Direction::kDown);
+  EXPECT_FALSE(h.sustained(Direction::kDown, 1));
+  h.observe(Direction::kDown);
+  EXPECT_FALSE(h.cooling());
+  EXPECT_TRUE(h.sustained(Direction::kDown, 2));
+  h.observe(Direction::kUp);  // the other direction clears the streak
+  EXPECT_EQ(h.down_streak(), 0u);
+  EXPECT_TRUE(h.sustained(Direction::kUp, 0)) << "0 acts as 1";
 }
 
+TEST(Hysteresis, AlternatingSignalsNeverOscillate) {
+  // A failure detector on the primitive: down after 3 consecutive misses,
+  // up after 2 consecutive passes. A path that misses every other probe
+  // satisfies neither edge, so it holds whatever state it is in.
+  ctrl::Hysteresis h;
+  bool up = true;
+  int flips = 0;
+  auto window = [&](bool pass) {
+    h.observe(pass ? Direction::kUp : Direction::kDown);
+    if (h.sustained(up ? Direction::kDown : Direction::kUp, up ? 3 : 2)) {
+      up = !up;
+      ++flips;
+      h.moved();
+    }
+  };
+  for (int i = 0; i < 20; ++i) window(i % 2 == 1);
+  EXPECT_TRUE(up) << "alternating misses must not take the path down";
+  for (int i = 0; i < 3; ++i) window(false);  // a real outage
+  ASSERT_FALSE(up);
+  for (int i = 0; i < 20; ++i) window(i % 2 == 0);
+  EXPECT_FALSE(up) << "alternating passes must not bring it back";
+  window(true);
+  window(true);  // healed: two consecutive passes recover it once
+  EXPECT_TRUE(up);
+  EXPECT_EQ(flips, 2);
+}
+
+ctrl::Band test_band(int cooldown_ticks = 3) {
+  ctrl::Band band;
+  band.raise_threshold = 1.0;
+  band.lower_threshold = 0.5;
+  band.sustain_ticks = 2;
+  band.cooldown_ticks = cooldown_ticks;
+  band.min_samples = 10;
+  return band;
+}
+
+TEST(Band, JudgesInflationAgainstTheThresholds) {
+  const ctrl::Band band = test_band();
+  EXPECT_EQ(band.judge(2000, 100, 1000), Direction::kUp);
+  EXPECT_EQ(band.judge(1000, 100, 1000), Direction::kHold);  // at the edge
+  EXPECT_EQ(band.judge(400, 100, 1000), Direction::kDown);
+  EXPECT_EQ(band.judge(9000, 9, 1000), Direction::kHold);  // thin window
+}
+
+// ---------------------------------------------------------------------------
+// AdaptiveHedger: the replication factor on the shared band.
+
 TEST(AdaptiveHedger, RaisesOnlyWhenSustainedAndRespectsCooldown) {
-  ctrl::AdaptiveHedger h(hedger_cfg());
+  ctrl::AdaptiveHedger h({}, test_band());
   EXPECT_EQ(h.update(2000, 100, 1000), 1u);  // one hot window: no change
   EXPECT_EQ(h.update(2000, 100, 1000), 2u);  // sustained: raise
   EXPECT_EQ(h.raises(), 1u);
@@ -337,7 +405,7 @@ TEST(AdaptiveHedger, RaisesOnlyWhenSustainedAndRespectsCooldown) {
 }
 
 TEST(AdaptiveHedger, LowersAfterSustainedCalm) {
-  ctrl::AdaptiveHedger h(hedger_cfg());
+  ctrl::AdaptiveHedger h({}, test_band());
   h.update(2000, 100, 1000);
   h.update(2000, 100, 1000);
   ASSERT_EQ(h.replicas(), 2u);
@@ -350,7 +418,7 @@ TEST(AdaptiveHedger, LowersAfterSustainedCalm) {
 }
 
 TEST(AdaptiveHedger, ThinWindowsCarryNoSignal) {
-  ctrl::AdaptiveHedger h(hedger_cfg());
+  ctrl::AdaptiveHedger h({}, test_band());
   h.update(2000, 100, 1000);
   // Below min_samples: not only no change, the streak resets.
   h.update(2000, 5, 1000);
@@ -359,12 +427,62 @@ TEST(AdaptiveHedger, ThinWindowsCarryNoSignal) {
 }
 
 TEST(AdaptiveHedger, DisabledHoldsTheFloor) {
-  ctrl::HedgerConfig cfg = hedger_cfg();
-  cfg.enabled = false;
-  ctrl::AdaptiveHedger h(cfg);
+  ctrl::AdaptiveHedger h({.enabled = false}, test_band());
   for (int i = 0; i < 10; ++i) h.update(5000, 100, 1000);
   EXPECT_EQ(h.replicas(), 1u);
   EXPECT_EQ(h.raises(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// GranularityController: the escalate / de-escalate ladder.
+
+TEST(GranularityController, EscalatesByStageAndStepsBackToBaseline) {
+  using core::Granularity;
+  auto run = [](Granularity baseline, const char* stage, int hot,
+                int calm) {
+    ctrl::GranularityController g({.enabled = true, .baseline = baseline},
+                                  test_band(/*cooldown_ticks=*/0));
+    for (int i = 0; i < hot; ++i) g.update(2000, 100, 1000, stage);
+    const Granularity top = g.granularity();
+    for (int i = 0; i < calm; ++i) g.update(100, 100, 1000, "");
+    return std::pair{top, g.granularity()};
+  };
+  using P = std::pair<Granularity, Granularity>;
+  // Service pain climbs through whole-flow copies; queueing pain goes
+  // straight to both. Two hot windows per rung, two calm ones per step.
+  EXPECT_EQ(run(Granularity::kPacketHedge, "service", 1, 0),
+            P(Granularity::kPacketHedge, Granularity::kPacketHedge));
+  EXPECT_EQ(run(Granularity::kPacketHedge, "service", 2, 0),
+            P(Granularity::kFlowReplica, Granularity::kFlowReplica));
+  EXPECT_EQ(run(Granularity::kPacketHedge, "service", 4, 2),
+            P(Granularity::kBoth, Granularity::kPacketHedge));
+  EXPECT_EQ(run(Granularity::kPacketHedge, "queue_wait", 2, 1),
+            P(Granularity::kBoth, Granularity::kBoth));
+  EXPECT_EQ(run(Granularity::kPacketHedge, nullptr, 12, 12),
+            P(Granularity::kBoth, Granularity::kPacketHedge));
+  // Down from kBoth through the baseline's own mode; kNone climbs too.
+  EXPECT_EQ(run(Granularity::kFlowReplica, "service", 2, 2),
+            P(Granularity::kBoth, Granularity::kFlowReplica));
+  EXPECT_EQ(run(Granularity::kNone, "service", 2, 2),
+            P(Granularity::kPacketHedge, Granularity::kNone));
+}
+
+TEST(GranularityController, CooldownThinWindowsAndDisabled) {
+  using core::Granularity;
+  ctrl::GranularityController g({.enabled = true}, test_band());
+  for (int i = 0; i < 2; ++i) g.update(2000, 100, 1000, "service");
+  ASSERT_EQ(g.granularity(), Granularity::kFlowReplica);
+  g.update(2000, 100, 1000, "service");
+  g.update(2000, 100, 1000, "service");
+  EXPECT_EQ(g.granularity(), Granularity::kFlowReplica) << "cooling down";
+  EXPECT_EQ(g.update(2000, 100, 1000, "service"), Granularity::kBoth);
+  EXPECT_EQ(g.shifts(), 2u);
+  for (int i = 0; i < 6; ++i) g.update(9000, 5, 1000, "service");
+  EXPECT_EQ(g.shifts(), 2u) << "windows under min_samples carry no signal";
+
+  ctrl::GranularityController off({}, test_band());  // disabled by default
+  for (int i = 0; i < 6; ++i) off.update(9000, 100, 1000, "service");
+  EXPECT_EQ(off.shifts(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -455,13 +573,13 @@ TEST(HedgeTimeoutController, DeadbandSuppressesSubNoiseActuation) {
 
 struct FakeActuator : ctrl::Actuator {
   explicit FakeActuator(std::size_t paths)
-      : admission(paths, Admission::kEnabled),
+      : admission(paths, PathAdmission::kEnabled),
         probes(paths, 0),
         backlog(paths, 0),
         flushes(paths, 0) {}
 
   std::size_t num_paths() const override { return admission.size(); }
-  void set_admission(std::size_t p, Admission a) override {
+  void set_admission(std::size_t p, PathAdmission a) override {
     admission[p] = a;
   }
   void grant_probes(std::size_t p, std::uint64_t n) override {
@@ -476,7 +594,7 @@ struct FakeActuator : ctrl::Actuator {
     hedge_timeouts.push_back(t);
   }
 
-  std::vector<Admission> admission;
+  std::vector<PathAdmission> admission;
   std::vector<std::uint64_t> probes;
   std::vector<std::uint64_t> backlog;
   std::vector<std::uint64_t> flushes;
@@ -524,7 +642,7 @@ TEST(Controller, QuarantineDrainProbationLifecycle) {
   feed(mon, 1, 8, 5000);
   ctl.tick(2);
   EXPECT_EQ(ctl.path_state(1), PathState::kQuarantined);
-  EXPECT_EQ(act.admission[1], Admission::kDisabled);
+  EXPECT_EQ(act.admission[1], PathAdmission::kDisabled);
   EXPECT_EQ(ctl.quarantines(), 1u);
   ASSERT_EQ(ctl.decisions().size(), 1u);
   EXPECT_STREQ(ctl.decisions()[0].reason, "slo_breach");
@@ -547,7 +665,7 @@ TEST(Controller, QuarantineDrainProbationLifecycle) {
   act.backlog[1] = 0;
   ctl.tick(5);
   EXPECT_EQ(ctl.path_state(1), PathState::kReinstated);
-  EXPECT_EQ(act.admission[1], Admission::kProbeOnly);
+  EXPECT_EQ(act.admission[1], PathAdmission::kProbeOnly);
   EXPECT_EQ(act.probes[1], 8u);
 
   // Probation observations have no sample minimum: every probe counts.
@@ -557,12 +675,12 @@ TEST(Controller, QuarantineDrainProbationLifecycle) {
   feed(mon, 1, 2, 100);
   ctl.tick(7);
   EXPECT_EQ(ctl.path_state(1), PathState::kActive);
-  EXPECT_EQ(act.admission[1], Admission::kEnabled);
+  EXPECT_EQ(act.admission[1], PathAdmission::kEnabled);
   EXPECT_EQ(ctl.reinstatements(), 1u);
   EXPECT_STREQ(ctl.decisions().back().reason, "probation_passed");
 
   // Path 0 was never touched.
-  EXPECT_EQ(act.admission[0], Admission::kEnabled);
+  EXPECT_EQ(act.admission[0], PathAdmission::kEnabled);
   EXPECT_EQ(act.flushes[0], 0u);
 }
 
@@ -583,7 +701,7 @@ TEST(Controller, ProbeBreachGoesStraightBackToQuarantine) {
   mon.observe(1, 9000);
   ctl.tick(5);
   EXPECT_EQ(ctl.path_state(1), PathState::kQuarantined);
-  EXPECT_EQ(act.admission[1], Admission::kDisabled);
+  EXPECT_EQ(act.admission[1], PathAdmission::kDisabled);
   EXPECT_STREQ(ctl.decisions().back().reason, "probe_breach");
   EXPECT_EQ(ctl.quarantines(), 2u);
   EXPECT_EQ(ctl.reinstatements(), 0u);
@@ -800,9 +918,9 @@ TEST(Controller, HedgerActuatesReplicasFromServingTail) {
   ctrl::Config cfg = controller_cfg();
   cfg.violation_threshold = 1.5;  // never quarantine in this test
   cfg.hedger.enabled = true;
-  cfg.hedger.sustain_ticks = 2;
-  cfg.hedger.cooldown_ticks = 0;
-  cfg.hedger.min_samples = 4;
+  cfg.band.sustain_ticks = 2;
+  cfg.band.cooldown_ticks = 0;
+  cfg.band.min_samples = 4;
   ctrl::Controller ctl(cfg, act, mon);
 
   feed(mon, 0, 8, 5000);
@@ -897,6 +1015,134 @@ TEST(Controller, StatsRegistryExportsCtrlCounters) {
   EXPECT_EQ(snap.counters.at("ctrl.quarantines"), 1u);
   EXPECT_EQ(snap.counters.at("slo.observed"), 16u);
   EXPECT_EQ(snap.counters.at("slo.violations"), 16u);
+}
+
+// ---------------------------------------------------------------------------
+// Closed loop on the simulated plane: Controller + SimPlaneActuator +
+// MdpDataPlane. A silent core stall (an invisible high-priority job pins
+// the core) completes nothing, so the SLO windows stay empty and only the
+// backlog arm can see it; probation probes ride the stalled core, so the
+// path is reinstated only once the core serves again.
+
+ctrl::Config sim_loop_cfg() {
+  ctrl::Config c;
+  c.slo_target_ns = 100'000;
+  c.violation_threshold = 0.25;
+  c.min_samples = 8;
+  c.backlog_limit = 8;
+  c.path.probation_probes = 8;
+  c.min_serving_paths = 2;
+  c.hedger.enabled = false;
+  return c;
+}
+
+struct SimLoopFixture : ::testing::Test {
+  static constexpr std::size_t kVictim = 2;
+  static constexpr sim::TimeNs kTickNs = 100'000;
+
+  sim::EventQueue eq;
+  net::PacketPool pool{4096, 2048};
+  core::MdpDataPlane dp{eq, pool,
+                        {.num_paths = 3, .dedup_sweep_interval_ns = 0},
+                        core::make_scheduler("rss")};
+  ctrl::SloMonitor mon{3, sim_loop_cfg().slo_target_ns};
+  ctrl::SimPlaneActuator act{eq, dp, mon};
+  ctrl::Controller ctl{sim_loop_cfg(), act, mon};
+  std::uint64_t sent = 0;
+  std::uint64_t egressed = 0;
+  /// Packets dispatched onto the victim while the controller masked it.
+  std::uint64_t masked_dispatches = 0;
+  bool masked = false;
+  std::uint64_t dispatched_at_tick = 0;
+  /// Largest victim backlog a tick judged.
+  std::uint64_t peak_backlog = 0;
+
+  void SetUp() override {
+    dp.set_egress([this](net::PacketPtr p) {
+      mon.observe(p->anno().path_id,
+                  p->anno().egress_ns - p->anno().ingress_ns);
+      ++egressed;
+    });
+    arm_tick();
+  }
+
+  void arm_tick() {
+    eq.schedule_in(kTickNs, [this] {
+      const std::uint64_t d = dp.monitor().dispatched(kVictim);
+      if (masked) masked_dispatches += d - dispatched_at_tick;
+      peak_backlog = std::max(peak_backlog, dp.inflight(kVictim));
+      ctl.tick(static_cast<std::uint64_t>(eq.now()));
+      masked = ctl.path_state(kVictim) != PathState::kActive;
+      dispatched_at_tick = d;
+      arm_tick();
+    });
+  }
+
+  /// One UDP packet every `gap_ns` over 32 flows until `until`.
+  void offer(sim::TimeNs gap_ns, sim::TimeNs until) {
+    eq.schedule_in(gap_ns, [this, gap_ns, until] {
+      if (eq.now() >= until) return;
+      const auto flow = static_cast<std::uint32_t>(sent % 32);
+      net::BuildSpec spec;
+      spec.flow = {0x0a010101, 0x0a006401,
+                   static_cast<std::uint16_t>(1000 + flow), 80, 0};
+      auto pkt = net::build_udp(pool, spec);
+      pkt->anno().flow_id = flow;
+      dp.ingress(std::move(pkt));
+      ++sent;
+      offer(gap_ns, until);
+    });
+  }
+
+  void stall(std::size_t p, sim::TimeNs at, sim::TimeNs duration) {
+    eq.schedule_at(at, [this, p, duration] {
+      dp.core(p).submit(duration, [](sim::TimeNs) {},
+                         /*high_priority=*/true, /*visible=*/false);
+    });
+  }
+};
+
+TEST_F(SimLoopFixture, SilentStallIsMaskedDrainedProbedAndReinstated) {
+  offer(2'000, 6 * sim::kMillisecond);
+  stall(kVictim, 1 * sim::kMillisecond, 2 * sim::kMillisecond);
+
+  eq.run_until(1'500'000);
+  ASSERT_EQ(ctl.quarantines(), 1u) << "two backlog breaches quarantine";
+  EXPECT_NE(ctl.path_state(kVictim), PathState::kActive);
+  EXPECT_FALSE(dp.up(kVictim));
+  const ctrl::Decision& q = ctl.decisions().front();
+  EXPECT_EQ(q.path, kVictim);
+  EXPECT_EQ(q.to, PathState::kQuarantined);
+  EXPECT_STREQ(q.reason, "backlog_breach") << "a blackhole completes nothing";
+
+  eq.run_until(8 * sim::kMillisecond);
+  EXPECT_EQ(ctl.path_state(kVictim), PathState::kActive);
+  EXPECT_TRUE(dp.up(kVictim));
+  EXPECT_EQ(ctl.quarantines(), 1u);
+  EXPECT_EQ(ctl.reinstatements(), 1u);
+  EXPECT_GE(act.probes_sent(), 8u);
+  EXPECT_EQ(masked_dispatches, 0u) << "no packet may land on a masked path";
+
+  std::vector<std::string> reasons;
+  for (const auto& d : ctl.decisions())
+    if (d.path == kVictim) reasons.emplace_back(d.reason);
+  EXPECT_EQ(reasons,
+            (std::vector<std::string>{"backlog_breach", "drain_start",
+                                      "drained", "probation_passed"}));
+  EXPECT_EQ(egressed, sent) << "every packet delivered once";
+  EXPECT_GT(sent, 2'000u);
+}
+
+TEST_F(SimLoopFixture, ShortBlipDoesNotQuarantine) {
+  offer(2'000, 4 * sim::kMillisecond);
+  // Spans one tick (1.1 ms) but not the next: one backlog breach.
+  stall(kVictim, 1'030'000, 120'000);
+  eq.run_until(6 * sim::kMillisecond);
+  EXPECT_GT(peak_backlog, sim_loop_cfg().backlog_limit) << "blip unseen";
+  EXPECT_EQ(ctl.quarantines(), 0u);
+  EXPECT_EQ(ctl.path_state(kVictim), PathState::kActive);
+  EXPECT_TRUE(ctl.decisions().empty());
+  EXPECT_EQ(egressed, sent);
 }
 
 // ---------------------------------------------------------------------------

@@ -259,6 +259,27 @@ TEST_F(FlowCacheFixture, DistinctFlowsDistinctEntries) {
   EXPECT_EQ(fc->core().misses(), 20u);
 }
 
+TEST_F(FlowCacheFixture, ConfiguredCapacityIsHonoured) {
+  EXPECT_EQ(fc->core().capacity(), 1024u);  // FlowCache(1024)
+  // A full cache displaces instead of growing past the configured bound.
+  for (std::uint16_t p = 1; p <= 1100; ++p) {
+    send(p);
+    fast_out->pull(0);
+  }
+  EXPECT_EQ(fc->core().size(), 1024u);
+  EXPECT_GE(fc->core().evictions(), 1100u - 1024u);
+
+  // No argument: the documented default capacity.
+  click::Router r(click::Router::Context{&eq, &pool});
+  std::string err;
+  ASSERT_TRUE(r.configure("fc :: FlowCache; fc [0] -> Discard; "
+                          "fc [1] -> Discard;",
+                          &err))
+      << err;
+  ASSERT_TRUE(r.initialize(&err)) << err;
+  EXPECT_EQ(r.find_as<FlowCache>("fc")->core().capacity(), 32768u);
+}
+
 TEST(FlowCacheCore, LruEvictionAtCapacity) {
   FlowCacheCore c(2);
   net::FlowKey f1{1, 2, 3, 4, 17}, f2{2, 2, 3, 4, 17}, f3{3, 2, 3, 4, 17};

@@ -388,9 +388,9 @@ TEST(GranularityE2E, DelayStormFlipsPacketToFlowAndBack) {
   cfg.ctrl.hedge_timeout.enabled = false;
   cfg.ctrl.granularity.enabled = true;
   cfg.ctrl.granularity.baseline = Granularity::kPacketHedge;
-  cfg.ctrl.granularity.min_samples = 16;
-  cfg.ctrl.granularity.sustain_ticks = 2;
-  cfg.ctrl.granularity.cooldown_ticks = 2;
+  cfg.ctrl.band.min_samples = 16;
+  cfg.ctrl.band.sustain_ticks = 2;
+  cfg.ctrl.band.cooldown_ticks = 2;
   // Path 1's last mile turns slow mid-run: 40 wire ticks >> the SLO, a
   // service-stage storm by construction.
   cfg.phases.push_back({4'000, 24'000, 1, {.delay_ticks = 40}});

@@ -492,7 +492,7 @@ TEST(TenantAdmission, PerTenantSloClassesShareOneMonitor) {
 
 struct TenantFakeActuator : ctrl::Actuator {
   std::size_t num_paths() const override { return 2; }
-  void set_admission(std::size_t, ctrl::Admission) override {}
+  void set_admission(std::size_t, core::PathAdmission) override {}
   void grant_probes(std::size_t, std::uint64_t) override {}
   std::uint64_t path_backlog(std::size_t) const override { return 0; }
   void flush_path(std::size_t) override {}
