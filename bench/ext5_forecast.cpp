@@ -69,8 +69,8 @@ constexpr std::uint64_t kMinWindowSamples = 16;
 /// ramps 2 -> 8 delay ticks in 2000-iteration (~31-window) steps — e2e
 /// roughly (d + 1) us, strictly inside the 10 us SLO — then holds 12
 /// (a reactive breach) from iteration 8000 to 16000. Late duplicate copies
-/// feed the path SLO windows on BOTH runs (observe_late_copies), so a
-/// successful pre-hedge cannot erase the evidence that confirms it.
+/// feed the path SLO windows on BOTH runs (the rig always observes them),
+/// so a successful pre-hedge cannot erase the evidence that confirms it.
 chaos::ChaosScenarioConfig ab_cfg(bool predictive, bool storm) {
   chaos::ChaosScenarioConfig cfg;
   cfg.seed = 11;
@@ -80,7 +80,6 @@ chaos::ChaosScenarioConfig ab_cfg(bool predictive, bool storm) {
   cfg.packets_per_iter = 2;
   cfg.drain_per_iter = {8, 8};
   cfg.flow_affinity = false;
-  cfg.observe_late_copies = true;
   cfg.ctrl_tick_every = kCtrlTickEvery;
 
   cfg.ctrl.slo_target_ns = kSloNs;

@@ -32,6 +32,8 @@ MdpDataPlane::MdpDataPlane(sim::EventQueue& eq, net::PacketPool& pool,
       scheduler_(std::move(scheduler)),
       router_(click::Router::Context{&eq, &pool}),
       monitor_(cfg.num_paths),
+      merge_(eq, cfg.reorder,
+             [this](net::PacketPtr pkt) { on_egress(std::move(pkt)); }),
       rng_(cfg.seed),
       // Unit-mean lognormal: mu = -sigma^2/2.
       jitter_(-cfg.service_jitter_sigma * cfg.service_jitter_sigma / 2,
@@ -41,26 +43,8 @@ MdpDataPlane::MdpDataPlane(sim::EventQueue& eq, net::PacketPool& pool,
 
   if (cfg_.flow_repl.enabled) {
     replicator_ = std::make_unique<FlowReplicator>(cfg_.flow_repl);
-    // A flow dropped from the decision table no longer has a fixed copy
-    // count — its later sequences fall back to per-packet accounting.
-    replicator_->set_drop_callback(
-        [this](std::uint32_t flow_id) { dedup_.deregister_flow(flow_id); });
     granularity_ = Granularity::kBoth;
   }
-
-  reorder_ = std::make_unique<ReorderBuffer>(
-      eq_, cfg_.reorder, [this](net::PacketPtr pkt) {
-        pkt->anno().egress_ns = eq_.now();
-        ++egress_count_;
-        fast_counters_.inc(DpCounter::kEgress);
-#if MDP_TRACE_ENABLED
-        if (tracer_) {
-          pkt->anno().span.egress_ns = eq_.now();
-          tracer_->on_egress(pkt->anno().span);
-        }
-#endif
-        if (egress_) egress_(std::move(pkt));
-      });
 
   nf::ChainSpec spec = nf::ChainSpec::preset(cfg_.chain);
   std::string err;
@@ -100,7 +84,7 @@ MdpDataPlane::~MdpDataPlane() = default;
 
 void MdpDataPlane::schedule_dedup_sweep() {
   eq_.schedule_in(cfg_.dedup_sweep_interval_ns, [this] {
-    dedup_.sweep(eq_.now(), cfg_.dedup_max_age_ns);
+    merge_.sweep(cfg_.dedup_max_age_ns);
     schedule_dedup_sweep();
   });
 }
@@ -150,27 +134,12 @@ void MdpDataPlane::ingress(net::PacketPtr pkt) {
   }
 #endif
 
-  const std::uint64_t k = Deduplicator::key(a.flow_id, a.seq);
-  if (flow_replicated) {
-    // Register the flow's copy count once (flow-copy dedup semantics);
-    // expect_flow() uses the registry as the single source of truth as
-    // long as it matches what is actually in flight this packet.
-    if (select_buf_.size() > 1 && dedup_.flow_copies(a.flow_id) == 1)
-      dedup_.register_flow(a.flow_id,
-                           static_cast<std::uint8_t>(select_buf_.size()));
-    if (dedup_.flow_copies(a.flow_id) == select_buf_.size())
-      dedup_.expect_flow(a.flow_id, a.seq, eq_.now());
-    else
-      dedup_.expect(k, static_cast<std::uint8_t>(select_buf_.size()),
-                    eq_.now());
-    if (select_buf_.size() > 1)
-      fast_counters_.inc(DpCounter::kFlowReplicas, select_buf_.size() - 1);
-  } else {
-    dedup_.expect(k, static_cast<std::uint8_t>(select_buf_.size()),
-                  eq_.now());
-    if (select_buf_.size() > 1)
-      fast_counters_.inc(DpCounter::kReplicas, select_buf_.size() - 1);
-  }
+  merge_.expect(a.flow_id, a.seq,
+                static_cast<std::uint8_t>(select_buf_.size()));
+  if (select_buf_.size() > 1)
+    fast_counters_.inc(flow_replicated ? DpCounter::kFlowReplicas
+                                       : DpCounter::kReplicas,
+                       select_buf_.size() - 1);
 
   // Hedging: single-copy packets may get a late second copy. The clone is
   // parked now (the original moves into the path job and becomes
@@ -179,8 +148,7 @@ void MdpDataPlane::ingress(net::PacketPtr pkt) {
     sim::TimeNs timeout = scheduler_->hedge_timeout_ns(*pkt, *this);
     if (timeout > 0) {
       net::PacketPtr clone = pool_.clone(*pkt);
-      if (clone)
-        arm_hedge(k, select_buf_[0], timeout, std::move(clone));
+      if (clone) arm_hedge(select_buf_[0], timeout, std::move(clone));
     }
   }
 
@@ -188,7 +156,7 @@ void MdpDataPlane::ingress(net::PacketPtr pkt) {
   for (std::size_t i = 1; i < select_buf_.size(); ++i) {
     net::PacketPtr copy = pool_.clone(*pkt);
     if (!copy) {
-      dedup_.cancel_one(k);
+      merge_.cancel_copy(a.flow_id, a.seq);
       continue;
     }
     copy->anno().copy_index = static_cast<std::uint8_t>(i);
@@ -207,7 +175,7 @@ void MdpDataPlane::dispatch(std::uint16_t path, net::PacketPtr pkt) {
       paths_[path].core->queue_depth() >= cfg_.path_queue_capacity) {
     // Tail drop at the path queue: release the dedup slot so merged
     // delivery of surviving copies still works.
-    dedup_.cancel_one(Deduplicator::key(a.flow_id, a.seq));
+    merge_.cancel_copy(a.flow_id, a.seq);
     fast_counters_.inc(DpCounter::kQueueDrops);
     return;
   }
@@ -224,13 +192,12 @@ void MdpDataPlane::dispatch(std::uint16_t path, net::PacketPtr pkt) {
     a.span.hedged = a.hedged;
   }
 #endif
-  const std::uint64_t k = Deduplicator::key(a.flow_id, a.seq);
   bool jump_queue =
       cfg_.lc_priority &&
       a.traffic_class == net::TrafficClass::kLatencyCritical;
   paths_[path].core->submit(
       service,
-      [this, path, k, service, pkt = std::move(pkt)](sim::TimeNs done_at)
+      [this, path, service, pkt = std::move(pkt)](sim::TimeNs done_at)
           mutable {
         (void)service;
 #if MDP_TRACE_ENABLED
@@ -251,11 +218,13 @@ void MdpDataPlane::dispatch(std::uint16_t path, net::PacketPtr pkt) {
         // Push through the real chain replica; PathEgress sets the flag.
         // If the chain filtered the packet (firewall deny, DPI drop), the
         // copy will never reach the merge stage — release its dedup slot.
+        const std::uint32_t flow = pkt->anno().flow_id;
+        const std::uint64_t seq = pkt->anno().seq;
         egress_consumed_ = false;
         paths_[path].chain_head->push(0, std::move(pkt));
         if (!egress_consumed_) {
           monitor_.on_filtered(path);
-          dedup_.cancel_one(k);
+          merge_.cancel_copy(flow, seq);
           fast_counters_.inc(DpCounter::kChainFiltered);
         }
       },
@@ -278,23 +247,36 @@ void MdpDataPlane::on_path_complete(std::uint16_t path, net::PacketPtr pkt) {
   }
 #endif
 
-  const std::uint64_t k = Deduplicator::key(a.flow_id, a.seq);
   // First completion cancels any parked hedge copy.
-  if (auto it = hedge_parked_.find(k); it != hedge_parked_.end())
+  if (auto it = hedge_parked_.find(Deduplicator::key(a.flow_id, a.seq));
+      it != hedge_parked_.end())
     hedge_parked_.erase(it);
 
-  if (!dedup_.accept(k)) {
+  // A duplicate copy comes back and recycles here.
+  if (merge_.receive(std::move(pkt)))
     fast_counters_.inc(DpCounter::kDupDropped);
-    return;  // duplicate copy: recycle
-  }
-  reorder_->submit(std::move(pkt));
 }
 
-void MdpDataPlane::arm_hedge(std::uint64_t key, std::uint16_t original_path,
-                             sim::TimeNs timeout, net::PacketPtr clone) {
-  clone->anno().hedged = true;
-  clone->anno().is_replica = true;
-  clone->anno().copy_index = 1;
+void MdpDataPlane::on_egress(net::PacketPtr pkt) {
+  pkt->anno().egress_ns = eq_.now();
+  ++egress_count_;
+  fast_counters_.inc(DpCounter::kEgress);
+#if MDP_TRACE_ENABLED
+  if (tracer_) {
+    pkt->anno().span.egress_ns = eq_.now();
+    tracer_->on_egress(pkt->anno().span);
+  }
+#endif
+  if (egress_) egress_(std::move(pkt));
+}
+
+void MdpDataPlane::arm_hedge(std::uint16_t original_path, sim::TimeNs timeout,
+                             net::PacketPtr clone) {
+  auto& a = clone->anno();
+  a.hedged = true;
+  a.is_replica = true;
+  a.copy_index = 1;
+  const std::uint64_t key = Deduplicator::key(a.flow_id, a.seq);
   hedge_parked_.emplace(key, std::move(clone));
   eq_.schedule_in(timeout, [this, key, original_path] {
     auto it = hedge_parked_.find(key);
@@ -311,7 +293,7 @@ void MdpDataPlane::arm_hedge(std::uint64_t key, std::uint16_t original_path,
         break;
       }
     }
-    dedup_.add_expected(key);
+    merge_.add_copy(copy->anno().flow_id, copy->anno().seq);
     fast_counters_.inc(DpCounter::kHedges);
     extra_copy_bytes_ += copy->length();
     dispatch(alt, std::move(copy));
@@ -383,31 +365,26 @@ void MdpDataPlane::register_stats(trace::StatsRegistry& reg) const {
     reg.add_gauge("repl.tracked", [this] {
       return static_cast<double>(replicator_->tracked());
     });
-    reg.add_gauge("dedup.registered_flows", [this] {
-      return static_cast<double>(dedup_.registered_flows());
-    });
   }
 
-  reg.add_counter("dedup.dup_drops", [this] { return dedup_.dup_drops(); });
-  reg.add_counter("dedup.late_drops",
-                  [this] { return dedup_.late_drops(); });
-  reg.add_counter("dedup.swept", [this] { return dedup_.swept(); });
-  reg.add_gauge("dedup.pending", [this] {
-    return static_cast<double>(dedup_.pending());
-  });
+  const Deduplicator& dd = merge_.dedup();
+  reg.add_counter("dedup.dup_drops", [&dd] { return dd.dup_drops(); });
+  reg.add_counter("dedup.late_drops", [&dd] { return dd.late_drops(); });
+  reg.add_counter("dedup.swept", [&dd] { return dd.swept(); });
+  reg.add_gauge("dedup.pending",
+                [&dd] { return static_cast<double>(dd.pending()); });
 
-  reg.add_counter("reorder.in_order",
-                  [this] { return reorder_->in_order(); });
+  const ReorderBuffer& ro = merge_.reorder();
+  reg.add_counter("reorder.in_order", [&ro] { return ro.in_order(); });
   reg.add_counter("reorder.out_of_order",
-                  [this] { return reorder_->out_of_order(); });
+                  [&ro] { return ro.out_of_order(); });
   reg.add_counter("reorder.timeout_releases",
-                  [this] { return reorder_->timeout_releases(); });
+                  [&ro] { return ro.timeout_releases(); });
   reg.add_counter("reorder.late_after_skip",
-                  [this] { return reorder_->late_after_skip(); });
-  reg.add_gauge("reorder.buffered", [this] {
-    return static_cast<double>(reorder_->buffered());
-  });
-  reg.add_histogram("reorder.dwell", &reorder_->dwell());
+                  [&ro] { return ro.late_after_skip(); });
+  reg.add_gauge("reorder.buffered",
+                [&ro] { return static_cast<double>(ro.buffered()); });
+  reg.add_histogram("reorder.dwell", &ro.dwell());
 }
 
 }  // namespace mdp::core

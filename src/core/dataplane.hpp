@@ -1,9 +1,9 @@
 // MdpDataPlane: the multipath last mile, assembled.
 //
 //                      +-- path 0: SimCore --> chain replica --+
-//   ingress -> sched --+-- path 1: SimCore --> chain replica --+--> dedup
-//                      +-- ...           |                     |     |
-//                                        v                     |  reorder
+//   ingress -> sched --+-- path 1: SimCore --> chain replica --+--> merge
+//                      +-- ...           |                     | (dedup +
+//                                        v                     |  reorder)
 //                      per-plane NF state (NAT, LB, conntrack) +---> egress
 //
 // Each path is one simulated worker core (queueing model, see SimCore)
@@ -15,8 +15,11 @@
 // tracked connection. The service time charged on the core is the chain's
 // cost-model time with lognormal jitter; when the job completes, the
 // packet is pushed through the chain replica for its functional effect,
-// then merged: first-copy-wins dedup, per-flow resequencing, and finally
-// the egress callback.
+// then merged by core::Merge (first-copy-wins dedup, per-flow
+// resequencing), and finally handed to the egress callback. end_flow
+// retires the plane's own per-flow entries (replication decision, dedup
+// entries, resequencing window, sequence counter); per-flow NF state
+// (NAT, LB, conntrack) follows the NF tables' own expiry.
 //
 // Interference is attached from outside (see sim::InterferenceModel) onto
 // any subset of the path cores — that is the "noisy neighbor" of the
@@ -29,11 +32,10 @@
 #include <vector>
 
 #include "click/router.hpp"
-#include "core/dedup.hpp"
 #include "core/flow_replicator.hpp"
 #include "core/granularity.hpp"
+#include "core/merge.hpp"
 #include "core/path_monitor.hpp"
-#include "core/reorder.hpp"
 #include "core/scheduler.hpp"
 #include "net/packet_pool.hpp"
 #include "nf/chain.hpp"
@@ -123,12 +125,16 @@ class MdpDataPlane final : public PathContext {
   }
   Granularity granularity() const noexcept { return granularity_; }
 
-  /// Flow completed (workload signal): forget its replication decision
-  /// and retire its pending dedup entries. Copies still in flight become
-  /// late drops — released, never double-delivered.
+  /// Flow completed (workload signal): forget its replication decision,
+  /// its merge state (dedup entries, resequencing window) and its
+  /// sequence counter. Copies still in flight become late drops —
+  /// released, never double-delivered. May be called from the egress
+  /// callback. A flow id must not be reused after end_flow: its sequence
+  /// would restart at 0 (RpcWorkload allocates ids in increasing order).
   void end_flow(std::uint32_t flow_id) {
     if (replicator_) replicator_->erase(flow_id);
-    dedup_.release_flow(flow_id);
+    merge_.end_flow(flow_id);
+    next_seq_.erase(flow_id);
   }
 
   // --- PathContext (the scheduler's view) -----------------------------------
@@ -160,11 +166,13 @@ class MdpDataPlane final : public PathContext {
   // --- introspection ----------------------------------------------------------
   PathMonitor& monitor() noexcept { return monitor_; }
   const PathMonitor& monitor() const noexcept { return monitor_; }
-  const Deduplicator& dedup() const noexcept { return dedup_; }
-  const ReorderBuffer& reorder() const noexcept { return *reorder_; }
-  /// Mutable access for control-plane actuation (ReorderBuffer::flush_all
-  /// when draining a quarantined path; see ctrl::SimPlaneActuator).
-  ReorderBuffer& reorder_mut() noexcept { return *reorder_; }
+  const Deduplicator& dedup() const noexcept { return merge_.dedup(); }
+  const ReorderBuffer& reorder() const noexcept { return merge_.reorder(); }
+  /// Mutable access for control-plane actuation (Merge::flush_all when
+  /// draining a quarantined path; see ctrl::SimPlaneActuator).
+  Merge& merge() noexcept { return merge_; }
+  /// Flows holding a sequence counter (retired by end_flow).
+  std::size_t seq_tracked_flows() const noexcept { return next_seq_.size(); }
   Scheduler& scheduler() noexcept { return *scheduler_; }
   /// nullptr unless cfg.flow_repl.enabled. Mutable so owners can wire
   /// the per-tenant token hook (ctrl::TenantAdmission).
@@ -211,8 +219,9 @@ class MdpDataPlane final : public PathContext {
 
   void dispatch(std::uint16_t path, net::PacketPtr pkt);
   void on_path_complete(std::uint16_t path, net::PacketPtr pkt);
-  void arm_hedge(std::uint64_t key, std::uint16_t original_path,
-                 sim::TimeNs timeout, net::PacketPtr clone);
+  void on_egress(net::PacketPtr pkt);
+  void arm_hedge(std::uint16_t original_path, sim::TimeNs timeout,
+                 net::PacketPtr clone);
   void schedule_dedup_sweep();
   sim::TimeNs service_time(const net::Packet& pkt);
 
@@ -223,10 +232,9 @@ class MdpDataPlane final : public PathContext {
   click::Router router_;
   std::vector<Path> paths_;
   PathMonitor monitor_;
-  Deduplicator dedup_;
+  Merge merge_;
   std::unique_ptr<FlowReplicator> replicator_;
   Granularity granularity_ = Granularity::kPacketHedge;
-  std::unique_ptr<ReorderBuffer> reorder_;
   Egress egress_;
   sim::Rng rng_;
   sim::LogNormal jitter_;
@@ -235,7 +243,8 @@ class MdpDataPlane final : public PathContext {
   stats::CounterSet adhoc_counters_;
   trace::Tracer* tracer_ = nullptr;
   std::unordered_map<std::uint32_t, std::uint64_t> next_seq_;
-  // Hedge copies parked until the timeout decides their fate.
+  // Hedge copies parked until the timeout decides their fate, keyed by
+  // Deduplicator::key(flow, seq).
   std::unordered_map<std::uint64_t, net::PacketPtr> hedge_parked_;
   std::uint64_t ingress_count_ = 0;
   std::uint64_t egress_count_ = 0;

@@ -1,12 +1,12 @@
-// Deduplicator: first-copy-wins merge point at the egress of the multipath
-// data plane. Every (flow, seq) is registered at dispatch time with its
-// expected copy count; the first arriving copy passes, later copies are
-// dropped. Entries retire when all copies accounted for, or via the age
-// sweep for copies that were filtered inside a chain and never arrive.
+// Deduplicator: the first-copy-wins half of the multipath merge stage
+// (core::Merge pairs it with the ReorderBuffer). Every (flow, seq) is
+// registered at dispatch time with its expected copy count; the first
+// arriving copy passes, later copies are dropped. Entries retire when all
+// copies accounted for, or via the age sweep for copies that were
+// filtered inside a chain and never arrive.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 
 #include "sim/time.hpp"
@@ -50,20 +50,6 @@ class Deduplicator {
     return first;
   }
 
-  /// Batch drain: accept() each key in arrival order, recording per-key
-  /// first-copy verdicts in `out_first` (same length as `keys`). Returns
-  /// the number of firsts. Semantically identical to calling accept() in
-  /// a loop — burst callers get one call per drained burst.
-  std::size_t accept_batch(std::span<const std::uint64_t> keys,
-                           std::span<bool> out_first) {
-    std::size_t firsts = 0;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      out_first[i] = accept(keys[i]);
-      if (out_first[i]) ++firsts;
-    }
-    return firsts;
-  }
-
   /// A copy was filtered in-chain and will never arrive.
   void cancel_one(std::uint64_t k) {
     auto it = entries_.find(k);
@@ -95,36 +81,6 @@ class Deduplicator {
     return n;
   }
 
-  // --- flow-copy registry (flow-granularity replication) -----------------
-  // A replicated flow sends every sequence as the same number of copies,
-  // decided once at flow arrival. Registering the flow makes that count
-  // the single source of truth: expect_flow() consults it per packet, so
-  // a mid-flow granularity downshift (flow deregistered) automatically
-  // returns later sequences to single-copy accounting.
-
-  /// All subsequent sequences of `flow_id` are expected as `copies`
-  /// copies (clamped to >= 1).
-  void register_flow(std::uint32_t flow_id, std::uint8_t copies) {
-    flow_copies_[flow_id] = copies ? copies : std::uint8_t{1};
-  }
-
-  /// Forget the flow's copy count. Returns true if it was registered.
-  bool deregister_flow(std::uint32_t flow_id) {
-    return flow_copies_.erase(flow_id) > 0;
-  }
-
-  /// Expected copies per sequence for `flow_id`; 1 when unregistered.
-  std::uint8_t flow_copies(std::uint32_t flow_id) const {
-    auto it = flow_copies_.find(flow_id);
-    return it == flow_copies_.end() ? std::uint8_t{1} : it->second;
-  }
-
-  /// expect() keyed by the flow registry's copy count.
-  void expect_flow(std::uint32_t flow_id, std::uint64_t seq,
-                   sim::TimeNs now) {
-    expect(key(flow_id, seq), flow_copies(flow_id), now);
-  }
-
   /// Flow completed: retire its pending per-sequence entries. Any copy
   /// still in flight then counts as a late drop on arrival (and is
   /// released by the caller — never double-delivered, never leaked).
@@ -143,8 +99,6 @@ class Deduplicator {
     return n;
   }
 
-  std::size_t registered_flows() const noexcept { return flow_copies_.size(); }
-
   std::size_t pending() const noexcept { return entries_.size(); }
   std::uint64_t dup_drops() const noexcept { return dup_drops_; }
   std::uint64_t late_drops() const noexcept { return late_drops_; }
@@ -157,7 +111,6 @@ class Deduplicator {
     sim::TimeNs created_ns;
   };
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::unordered_map<std::uint32_t, std::uint8_t> flow_copies_;
   std::uint64_t dup_drops_ = 0;
   std::uint64_t late_drops_ = 0;
   std::uint64_t swept_ = 0;

@@ -55,22 +55,14 @@ class FlowReplicator {
   /// Returns true when the flow may replicate (one hedge token is
   /// consumed per replicated flow). Unset == unlimited budget.
   using TokenFn = std::function<bool(std::uint16_t tenant)>;
-  /// Observes flows dropped from the decision table (eviction or
-  /// erase); lets the owner reclaim per-flow dedup state.
-  using DropFn = std::function<void(std::uint32_t flow_id)>;
 
   explicit FlowReplicator(FlowReplicatorConfig cfg = {})
       : cfg_(cfg), table_(cfg.flow_table_capacity) {
     if (cfg_.replicas < 2) cfg_.replicas = 2;
     if (cfg_.replicas > kMaxReplicaPaths) cfg_.replicas = kMaxReplicaPaths;
-    table_.set_evict_callback(
-        [this](const net::FlowKey& k, const State&, std::uint16_t) {
-          if (on_drop_) on_drop_(flow_of(k));
-        });
   }
 
   void set_token_fn(TokenFn fn) { token_fn_ = std::move(fn); }
-  void set_drop_callback(DropFn fn) { on_drop_ = std::move(fn); }
 
   /// Route one packet. Returns true iff the packet's flow is replicated,
   /// with `out` holding the flow's replica paths filtered to those still
@@ -115,21 +107,11 @@ class FlowReplicator {
     return true;
   }
 
-  /// Forget a flow (flow completed). Fires the drop callback.
-  bool erase(std::uint32_t flow_id) {
-    const bool hit = table_.erase(key_of(flow_id));
-    if (hit && on_drop_) on_drop_(flow_id);
-    return hit;
-  }
+  /// Forget a flow (flow completed). Returns true if it was tracked.
+  bool erase(std::uint32_t flow_id) { return table_.erase(key_of(flow_id)); }
 
   /// Drop every cached decision (granularity lever turned off).
-  void clear() {
-    if (on_drop_) {
-      table_.for_each([this](const net::FlowKey& k, const State&,
-                             std::uint16_t) { on_drop_(flow_of(k)); });
-    }
-    table_.clear();
-  }
+  void clear() { table_.clear(); }
 
   const FlowReplicatorConfig& config() const { return cfg_; }
   std::size_t tracked() const { return table_.size(); }
@@ -147,7 +129,6 @@ class FlowReplicator {
     k.src_ip = flow_id;
     return k;
   }
-  static std::uint32_t flow_of(const net::FlowKey& k) { return k.src_ip; }
 
  private:
   struct State {
@@ -186,7 +167,6 @@ class FlowReplicator {
   FlowReplicatorConfig cfg_;
   nf::FlowTable<State> table_;
   TokenFn token_fn_;
-  DropFn on_drop_;
   std::uint64_t flows_seen_ = 0;
   std::uint64_t flows_replicated_ = 0;
   std::uint64_t size_gated_ = 0;

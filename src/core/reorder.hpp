@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
@@ -38,11 +38,6 @@ class ReorderBuffer {
   /// Hand over a deduplicated packet (anno.flow_id / anno.seq valid).
   void submit(net::PacketPtr pkt);
 
-  /// Burst drain: submit each non-null packet in order (null entries —
-  /// dedup-dropped burst slots — are skipped). Identical semantics to a
-  /// per-packet submit loop.
-  void submit_batch(std::span<net::PacketPtr> pkts);
-
   /// Path-down / teardown flush: release every buffered packet NOW, in
   /// per-flow seq order, advancing each flow's window past its holes
   /// (predecessors stranded on a dead path will never arrive, so waiting
@@ -53,6 +48,13 @@ class ReorderBuffer {
   /// inspection. Returns the number of packets released.
   std::size_t flush_all();
 
+  /// Flow completed: drop its window (packets still held leave now, in seq
+  /// order, counted as flushed). Safe to call from inside the emit
+  /// callback: the erase then waits until the submit, timeout or flush
+  /// that is emitting returns. The flow id must not be reused afterwards —
+  /// a reused id would start a fresh window at seq 0.
+  void end_flow(std::uint32_t flow_id);
+
   // --- stats --------------------------------------------------------------
   std::uint64_t in_order() const noexcept { return in_order_; }
   std::uint64_t out_of_order() const noexcept { return out_of_order_; }
@@ -62,6 +64,8 @@ class ReorderBuffer {
   std::uint64_t late_after_skip() const noexcept { return late_after_skip_; }
   std::uint64_t flushed() const noexcept { return flushed_; }
   std::size_t buffered() const noexcept { return buffered_count_; }
+  /// Flows with a live window (retired by end_flow).
+  std::size_t tracked_flows() const noexcept { return flows_.size(); }
   const stats::LatencyHistogram& dwell() const noexcept { return dwell_; }
   double ooo_fraction() const noexcept {
     std::uint64_t total = in_order_ + out_of_order_;
@@ -71,22 +75,33 @@ class ReorderBuffer {
   }
 
  private:
+  struct Held {
+    net::PacketPtr pkt;
+    sim::TimeNs arrived_ns;
+  };
   struct FlowState {
     std::uint64_t next_expected = 0;
-    std::map<std::uint64_t, net::PacketPtr> pending;  // seq -> packet
-    std::map<std::uint64_t, sim::TimeNs> arrival_ns;
+    std::map<std::uint64_t, Held> pending;  // seq-ordered
     bool timer_armed = false;
   };
+  /// Marks an entry point that may emit while holding a FlowState&;
+  /// end_flow requests made meanwhile are erased when the outermost one
+  /// returns.
+  struct Busy;
 
-  void drain(FlowState& st);
+  std::size_t drain(FlowState& st);  // returns the number released
+  std::size_t release_held(FlowState& st);
   void arm_timer(std::uint32_t flow_id, FlowState& st);
   void on_timeout(std::uint32_t flow_id);
   void release(FlowState& st, net::PacketPtr pkt, sim::TimeNs arrived_ns);
+  void retire(std::uint32_t flow_id);
 
   sim::EventQueue& eq_;
   ReorderConfig cfg_;
   Emit emit_;
   std::unordered_map<std::uint32_t, FlowState> flows_;
+  std::size_t busy_depth_ = 0;
+  std::vector<std::uint32_t> ended_;  // end_flow requests made while busy
   std::uint64_t in_order_ = 0;
   std::uint64_t out_of_order_ = 0;
   std::uint64_t timeout_releases_ = 0;

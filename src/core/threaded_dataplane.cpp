@@ -17,8 +17,7 @@ ThreadedDataPlane::ThreadedDataPlane(ThreadedConfig cfg,
       slots_(cfg.pool_size),
       work_buf_(cfg.payload_bytes, 0xa5),
       path_counts_(cfg.num_paths, 0),
-      admission_(cfg.num_paths, PathAdmission::kEnabled),
-      probe_credits_(cfg.num_paths, 0),
+      admission_(cfg.num_paths),
       path_completed_(new stats::PaddedAtomicU64[cfg.num_paths]),
       stage_(cfg.num_paths),
       jsq_depths_(cfg.num_paths, 0) {
@@ -28,6 +27,10 @@ ThreadedDataPlane::ThreadedDataPlane(ThreadedConfig cfg,
     ingress_chan_ = cfg_.recorder->channel("dp.ingress");
     egress_chan_ = cfg_.recorder->channel("dp.collector");
   }
+  if (cfg_.policy == "rr")
+    policy_ = Policy::kRoundRobin;
+  else if (cfg_.policy == "hash")
+    policy_ = Policy::kHash;
   if (cfg_.burst_size == 0) cfg_.burst_size = 1;
   if (cfg_.burst_size > kMaxBurst) cfg_.burst_size = kMaxBurst;
   for (std::size_t p = 0; p < cfg_.num_paths; ++p) {
@@ -71,67 +74,6 @@ void ThreadedDataPlane::start() {
   collector_ = std::thread([this] { collector_loop(); });
 }
 
-bool ThreadedDataPlane::path_candidate(std::size_t p) const noexcept {
-  switch (admission_[p]) {
-    case PathAdmission::kEnabled: return true;
-    case PathAdmission::kProbeOnly: return probe_credits_[p] > 0;
-    case PathAdmission::kDisabled: return false;
-  }
-  return false;
-}
-
-bool ThreadedDataPlane::any_candidate() const noexcept {
-  for (std::size_t p = 0; p < cfg_.num_paths; ++p)
-    if (path_candidate(p)) return true;
-  return false;
-}
-
-void ThreadedDataPlane::note_placement(std::uint16_t path) noexcept {
-  if (admission_[path] == PathAdmission::kProbeOnly &&
-      probe_credits_[path] > 0)
-    --probe_credits_[path];
-}
-
-std::uint16_t ThreadedDataPlane::pick_path(std::uint64_t flow_hash) {
-  // If the control plane masked everything, serve from the full set
-  // rather than blackholing traffic (the controller's capacity guard
-  // should prevent this; belt and braces).
-  const bool have_candidates = any_candidate();
-  const auto ok = [&](std::size_t p) {
-    return !have_candidates || path_candidate(p);
-  };
-  if (cfg_.policy == "hash") {
-    const auto start = static_cast<std::size_t>(flow_hash % cfg_.num_paths);
-    for (std::size_t i = 0; i < cfg_.num_paths; ++i) {
-      const std::size_t p = (start + i) % cfg_.num_paths;
-      if (ok(p)) return static_cast<std::uint16_t>(p);
-    }
-    return static_cast<std::uint16_t>(start);
-  }
-  if (cfg_.policy == "rr") {
-    for (std::size_t i = 0; i < cfg_.num_paths; ++i) {
-      const std::size_t p = (rr_next_ + i) % cfg_.num_paths;
-      if (ok(p)) {
-        rr_next_ = (p + 1) % cfg_.num_paths;
-        return static_cast<std::uint16_t>(p);
-      }
-    }
-    return static_cast<std::uint16_t>(rr_next_);
-  }
-  // jsq on ring occupancy, over the admissible set.
-  std::size_t best = cfg_.num_paths;
-  std::size_t best_size = 0;
-  for (std::size_t p = 0; p < cfg_.num_paths; ++p) {
-    if (!ok(p)) continue;
-    const std::size_t s = path_rings_[p]->size();
-    if (best == cfg_.num_paths || s < best_size) {
-      best_size = s;
-      best = p;
-    }
-  }
-  return static_cast<std::uint16_t>(best == cfg_.num_paths ? 0 : best);
-}
-
 bool ThreadedDataPlane::ingress(std::uint64_t flow_hash) {
   Slot* slot = nullptr;
   if (!free_ring_->try_pop(slot)) {
@@ -139,20 +81,11 @@ bool ThreadedDataPlane::ingress(std::uint64_t flow_hash) {
     return false;
   }
   slot->enqueue_ns = now_ns();
-  slot->path = pick_path(flow_hash);
-  note_placement(slot->path);
   slot->payload_seed = static_cast<std::uint32_t>(flow_hash);
   slot->flow_id = slot->payload_seed;
   slot->seq = 0;
   slot->pkt = nullptr;
-  if (!path_rings_[slot->path]->try_push(slot)) {
-    free_ring_->try_push(slot);
-    ++rejected_;
-    return false;
-  }
-  ++path_counts_[slot->path];
-  ++submitted_;
-  return true;
+  return dispatch_slots(&slot, &flow_hash, 1) == 1;
 }
 
 void ThreadedDataPlane::reject_slot(Slot* slot) {
@@ -171,7 +104,7 @@ std::size_t ThreadedDataPlane::dispatch_slots(Slot* const* slots,
   // Per-burst bookkeeping amortization: one policy state sample (for JSQ:
   // one ring-occupancy snapshot) for the whole burst. Intra-burst
   // placements are accounted locally so the burst still spreads.
-  const bool jsq = cfg_.policy != "hash" && cfg_.policy != "rr";
+  const bool jsq = policy_ == Policy::kJsq;
   if (jsq)
     for (std::size_t p = 0; p < cfg_.num_paths; ++p)
       jsq_depths_[p] = path_rings_[p]->size();
@@ -182,20 +115,24 @@ std::size_t ThreadedDataPlane::dispatch_slots(Slot* const* slots,
     if (jsq) {
       // Admission is re-checked per packet: a probe-only path drops out
       // of the candidate set the moment its credits drain mid-burst.
-      const bool have_candidates = any_candidate();
+      const bool any = admission_.any();
       std::size_t best = cfg_.num_paths;
       for (std::size_t p = 0; p < cfg_.num_paths; ++p) {
-        if (have_candidates && !path_candidate(p)) continue;
+        if (any && !admission_.candidate(p)) continue;
         if (best == cfg_.num_paths || jsq_depths_[p] < jsq_depths_[best])
           best = p;
       }
       if (best == cfg_.num_paths) best = 0;
       ++jsq_depths_[best];
       path = static_cast<std::uint16_t>(best);
+    } else if (policy_ == Policy::kHash) {
+      path = static_cast<std::uint16_t>(
+          admission_.first_from(hashes[i] % cfg_.num_paths));
     } else {
-      path = pick_path(hashes[i]);
+      path = static_cast<std::uint16_t>(admission_.first_from(rr_next_));
+      rr_next_ = (path + 1) % cfg_.num_paths;
     }
-    note_placement(path);
+    admission_.place(path);
     slots[i]->path = path;
     stage_[path].push_back(slots[i]);
   }

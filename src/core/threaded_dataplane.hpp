@@ -4,8 +4,11 @@
 // one worker thread per path pops its ring, performs the per-packet work
 // (a real checksum pass over the payload, calibrated to the requested
 // service time), and pushes to a shared MPMC completion ring; a collector
-// thread merges (first-copy-wins is trivial here: single-copy policies) and
-// reports per-packet latency via callback.
+// thread reports per-packet latency via callback. Every policy is
+// single-copy, so the collector needs no merge; it does not run core::Merge
+// yet because the ReorderBuffer times out on a sim::EventQueue, not on a
+// clock the collector could pass in. Dispatch honors the control plane's
+// path admission through core::AdmissionSet.
 //
 // The hot path is burst-oriented end-to-end, DPDK style: ingress_burst()
 // admits up to a burst of packets with the dispatch policy and timestamp
@@ -40,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/admission.hpp"
 #include "io/packet_backend.hpp"
 #include "ring/mpmc_ring.hpp"
 #include "ring/spsc_ring.hpp"
@@ -50,22 +54,15 @@
 
 namespace mdp::core {
 
-/// Per-path admission level, set by a control plane (mdp::ctrl) from the
-/// caller thread. kProbeOnly admits only packets covered by probe credits
-/// (grant_probe_credits); kDisabled masks the path out of dispatch.
-enum class PathAdmission : std::uint8_t {
-  kEnabled = 0,
-  kProbeOnly,
-  kDisabled,
-};
-
 struct ThreadedConfig {
   std::size_t num_paths = 2;
   std::size_t ring_capacity = 4096;
   std::size_t pool_size = 8192;
   std::size_t payload_bytes = 256;   ///< bytes the worker actually touches
   std::size_t work_iterations = 4;   ///< checksum passes per packet
-  std::string policy = "jsq";        ///< "jsq" | "rr" | "hash"
+  /// "rr" | "hash"; any other string means jsq. Parsed once, at
+  /// construction.
+  std::string policy = "jsq";
   /// Ring-drain burst for workers and the collector, and the admission
   /// unit of ingress_burst (clamped to [1, kMaxBurst]). 1 = per-packet.
   std::size_t burst_size = 32;
@@ -170,23 +167,23 @@ class ThreadedDataPlane {
   /// normally. If every path ends up inadmissible, dispatch falls back to
   /// the full path set rather than blackholing traffic.
   void set_path_admission(std::size_t p, PathAdmission a) {
-    admission_[p] = a;
+    admission_.set(p, a);
     if (ingress_chan_)
       ingress_chan_->emit(now_ns(), telem::EventType::kAdmissionFlip,
                           static_cast<std::uint16_t>(p),
                           static_cast<std::uint32_t>(a), 0);
   }
   PathAdmission path_admission(std::size_t p) const noexcept {
-    return admission_[p];
+    return admission_.level(p);
   }
   /// Allow `n` more packets onto a kProbeOnly path (probation probes).
   /// Credits are consumed one per dispatched packet; no-op effect while
   /// the path is kEnabled.
   void grant_probe_credits(std::size_t p, std::uint64_t n) {
-    probe_credits_[p] += n;
+    admission_.grant(p, n);
   }
   std::uint64_t probe_credits(std::size_t p) const noexcept {
-    return probe_credits_[p];
+    return admission_.credits(p);
   }
   /// Packets dispatched to `p` and not yet collected. Caller-thread
   /// dispatch count minus the collector's atomic completion count: exact
@@ -237,12 +234,11 @@ class ThreadedDataPlane {
     std::uint16_t burst_pos = 0;   ///< this packet's position in it
   };
 
-  bool path_candidate(std::size_t p) const noexcept;
-  bool any_candidate() const noexcept;
-  void note_placement(std::uint16_t path) noexcept;
-  std::uint16_t pick_path(std::uint64_t flow_hash);
-  /// Shared dispatch tail: place `n` slots (enqueue_ns/payload/pkt already
-  /// filled) by policy, bulk-push per path, recycle what didn't fit
+  enum class Policy : std::uint8_t { kJsq, kRoundRobin, kHash };
+
+  /// Shared dispatch tail of ingress, ingress_burst and pump: place `n`
+  /// slots (enqueue_ns/payload/pkt already filled) by policy over the
+  /// admissible paths, bulk-push per path, recycle what didn't fit
   /// (frames back to their pool, slots to the free ring). Returns accepted.
   std::size_t dispatch_slots(Slot* const* slots, const std::uint64_t* hashes,
                              std::size_t n);
@@ -269,6 +265,7 @@ class ThreadedDataPlane {
   std::atomic<std::uint64_t> completed_{0};
   std::uint64_t submitted_ = 0;
   std::uint64_t rejected_ = 0;
+  Policy policy_ = Policy::kJsq;
   std::size_t rr_next_ = 0;
   std::vector<std::uint64_t> path_counts_;
   // Control-plane state (caller thread only, mutated between bursts like
@@ -278,8 +275,7 @@ class ThreadedDataPlane {
   // counters back to back, and unpadded they'd share a line with each
   // other (and the caller's reads) — the tab4 padded-vs-packed rows
   // measure exactly this layout.
-  std::vector<PathAdmission> admission_;
-  std::vector<std::uint64_t> probe_credits_;
+  AdmissionSet admission_;
   std::unique_ptr<stats::PaddedAtomicU64[]> path_completed_;
   // Flight-recorder channels (nullptr when cfg.recorder is unset):
   // ingress_chan_ is caller-thread only, egress_chan_ collector only —

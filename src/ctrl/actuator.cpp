@@ -33,7 +33,7 @@ void SimPlaneActuator::flush_path(std::size_t path) {
   // Release everything the merge stage is holding for resequencing; the
   // quarantined path's gaps will not fill while it is masked, and the
   // flushed packets advance every flow window past them.
-  dp_.reorder_mut().flush_all();
+  dp_.merge().flush_all();
 }
 
 }  // namespace mdp::ctrl

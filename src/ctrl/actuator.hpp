@@ -6,13 +6,14 @@
 // supplies an adapter:
 //
 //   ThreadedPlaneActuator  -> ThreadedDataPlane::set_path_admission /
-//                             grant_probe_credits / path_inflight. All
+//                             grant_probe_credits (the plane's
+//                             core::AdmissionSet) / path_inflight. All
 //                             calls happen on the caller thread, the same
 //                             thread that runs pump() and Controller::tick
 //                             — no atomics needed beyond what the plane
 //                             already exposes.
 //   SimPlaneActuator       -> MdpDataPlane::set_path_up for masking,
-//                             ReorderBuffer::flush_all for draining,
+//                             core::Merge::flush_all for draining,
 //                             SimCore probe jobs for probation (results
 //                             loop back into the SloMonitor), and
 //                             Scheduler::set_replication for hedging.

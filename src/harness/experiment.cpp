@@ -116,7 +116,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   // that served the packet. Decision/actuation: the Controller ticks on
   // the event queue (the sim-plane analog of the caller-thread tick) and
   // actuates through a SimPlaneActuator — masking via set_path_up, drains
-  // via ReorderBuffer::flush_all, probation probes onto the path cores.
+  // via Merge::flush_all, probation probes onto the path cores.
   std::unique_ptr<ctrl::SloMonitor> slo_mon;
   std::unique_ptr<ctrl::SimPlaneActuator> actuator;
   std::unique_ptr<ctrl::Controller> controller;

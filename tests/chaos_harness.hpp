@@ -21,8 +21,13 @@
 // Hedging: packets dispatched as a single copy are tracked; once the
 // controller actuates a hedge deadline (set_hedge_timeout), any tracked
 // packet older than the deadline whose first copy has not egressed gets
-// one clone on the next admissible path (Deduplicator::add_expected keeps
+// one clone on the next admissible path (Merge::add_copy keeps
 // exactly-once intact).
+//
+// The rig reuses the library's stages rather than re-implementing them:
+// core::Merge is its receive side and core::AdmissionSet its path
+// admission (the same rule, and the same rr / affinity picks, as
+// ThreadedDataPlane's rr / hash policies).
 #pragma once
 
 #include <algorithm>
@@ -37,9 +42,9 @@
 
 #include <atomic>
 
-#include "core/dedup.hpp"
+#include "core/admission.hpp"
 #include "core/granularity.hpp"
-#include "core/reorder.hpp"
+#include "core/merge.hpp"
 #include "ctrl/controller.hpp"
 #include "ctrl/tenant.hpp"
 #include "io/loopback_backend.hpp"
@@ -83,29 +88,15 @@ struct ChaosScenarioConfig {
   /// is the queue_wait bottleneck injector.
   std::vector<std::size_t> drain_per_iter{};
   std::vector<FaultPhase> phases{};
-  /// Flow-granularity replication (legacy/tenantless generation only):
-  /// when true and the live granularity allows flow replicas, every
-  /// packet of a flow is sent once on each path of the flow's stable
-  /// admissible pair (scan from flow % num_paths), with the dedup stage
-  /// expecting both copies — first copy wins per sequence. Flows for
-  /// which fewer than two admissible paths exist fall back to the legacy
-  /// single-copy dispatch (and so stay hedgeable). false keeps the rig
-  /// byte-for-byte identical to the pre-replication harness.
-  bool flow_replica = false;
   /// Granularity the rig starts at; RigActuator::set_granularity (the
-  /// controller's third lever) overrides it mid-run. kPacketHedge is the
-  /// legacy behavior: hedge sweep armed, no flow replicas.
+  /// controller's third lever) overrides it mid-run. While it allows flow
+  /// replicas (tenantless generation only), every packet of a flow is sent
+  /// once on each path of the flow's stable admissible pair (scan from
+  /// flow % num_paths), both copies expected at the merge — first copy
+  /// wins per sequence. Flows for which fewer than two admissible paths
+  /// exist fall back to single-copy dispatch (and so stay hedgeable).
+  /// kPacketHedge: hedge sweep armed, no flow replicas.
   core::Granularity granularity = core::Granularity::kPacketHedge;
-  /// Feed LATE duplicate copies (dedup losers) into the path SLO windows
-  /// too. Successful proactive control erases its own evidence: a hedge
-  /// rescue caps the e2e latency and the slow first copy is dropped at
-  /// dedup unobserved, so the path that caused the trouble looks clean and
-  /// every forecast actuation books as a false positive. With this flag
-  /// each dropped copy's true per-copy wire latency still lands in its own
-  /// path's window (reactive confirmation keeps working) while e2e
-  /// delivery metrics stay rescue-capped. false keeps the rig
-  /// byte-for-byte identical to the pre-forecast harness.
-  bool observe_late_copies = false;
   ctrl::Config ctrl{};
   std::uint64_t ctrl_tick_every = 64;  ///< iterations between ticks
   std::uint64_t reorder_timeout_ns = 200'000;
@@ -221,7 +212,6 @@ class ChaosRig {
     wire_cfg.seed = cfg_.seed;
     auto [tx, rx] = io::LoopbackBackend::make_pair(wire_cfg);
 
-    core::Deduplicator dedup;
     ChaosResult res;
 
     // Tenant mode: admission stage + storm generator + per-tenant /12
@@ -268,7 +258,7 @@ class ChaosRig {
     std::map<std::pair<std::uint32_t, std::uint64_t>, int> egress_count;
     std::vector<std::uint64_t> last_seq(cfg_.flows, 0);
     std::vector<bool> any_seq(cfg_.flows, false);
-    core::ReorderBuffer reorder(
+    core::Merge merge(
         eq, {true, sim::TimeNs(cfg_.reorder_timeout_ns)},
         [&](net::PacketPtr pkt) {
           const auto& a = pkt->anno();
@@ -279,23 +269,9 @@ class ChaosRig {
           last_seq[a.flow_id] = a.seq;
           any_seq[a.flow_id] = true;
           ++res.egressed;
-          res.delivered_log.push_back((std::uint64_t{a.flow_id} << 32) |
-                                      a.seq);
-          // Stage-attributed span from the rig's stamps: generation ->
-          // queue (ingress/dispatch), tx onto the wire (service start),
-          // rx off the wire (service end / merge), reorder emit (egress).
-          trace::SpanRecord sp;
-          sp.ingress_ns = a.ingress_ns;
-          sp.dispatch_ns = a.ingress_ns;
-          sp.service_start_ns = a.dispatch_ns;
-          sp.service_end_ns = a.egress_ns;
-          sp.chain_done_ns = a.egress_ns;
-          sp.merge_ns = a.egress_ns;
-          sp.egress_ns = static_cast<std::uint64_t>(eq.now());
-          sp.flow_id = a.flow_id;
-          sp.seq = a.seq;
-          sp.path_id = a.path_id;
-          sp.active = true;
+          res.delivered_log.push_back(tag(a.flow_id, a.seq));
+          const trace::SpanRecord sp =
+              span_of(a, static_cast<std::uint64_t>(eq.now()));
           mon_->observe_span(a.path_id, sp);
           res.latency_log.emplace_back(sp.egress_ns,
                                        sp.egress_ns - a.ingress_ns);
@@ -308,8 +284,7 @@ class ChaosRig {
               res.tenant_latencies[a.tenant_id].push_back(lat);
           }
           rig_chan_->emit(sp.egress_ns, telem::EventType::kReorderRelease,
-                          a.path_id, 1,
-                          (std::uint64_t{a.flow_id} << 32) | a.seq);
+                          a.path_id, 1, tag(a.flow_id, a.seq));
         });
 
     mon_ = std::make_unique<ctrl::SloMonitor>(cfg_.num_paths,
@@ -331,8 +306,7 @@ class ChaosRig {
 
     queues_.clear();
     queues_.resize(cfg_.num_paths);
-    admission_.assign(cfg_.num_paths, core::PathAdmission::kEnabled);
-    probe_credits_.assign(cfg_.num_paths, 0);
+    admission_ = core::AdmissionSet(cfg_.num_paths);
     replicas_ = 1;
     hedge_timeout_ns_ = 0;
     granularity_ = cfg_.granularity;
@@ -348,43 +322,67 @@ class ChaosRig {
       net::PacketPtr got[64];
       std::size_t n;
       while ((n = rx->rx_burst(std::span<net::PacketPtr>(got, 64))) > 0) {
-        std::uint64_t keys[64];
-        bool first[64];
-        for (std::size_t i = 0; i < n; ++i) {
-          auto& a = got[i]->anno();
-          a.egress_ns = static_cast<std::uint64_t>(eq.now());
-          keys[i] = core::Deduplicator::key(a.flow_id, a.seq);
-        }
-        dedup.accept_batch({keys, n}, {first, n});
         for (std::size_t i = 0; i < n; ++i)
-          if (!first[i]) {
+          got[i]->anno().egress_ns = static_cast<std::uint64_t>(eq.now());
+        merge.receive({got, n});
+        // What is left in the burst lost at dedup. Its true per-copy wire
+        // latency still lands in the window of the path that carried it:
+        // a hedge rescue caps the e2e latency and drops the slow first
+        // copy here, and without this the path that caused the trouble
+        // would look clean (every forecast actuation would book as a
+        // false positive). E2e delivery metrics stay rescue-capped.
+        for (std::size_t i = 0; i < n; ++i)
+          if (got[i]) {
             const auto& a = got[i]->anno();
-            if (cfg_.observe_late_copies) {
-              // The losing copy's true per-copy wire latency, charged to
-              // the path that carried it — the evidence a hedge rescue
-              // would otherwise erase (see the config flag's comment).
-              trace::SpanRecord sp;
-              sp.ingress_ns = a.ingress_ns;
-              sp.dispatch_ns = a.ingress_ns;
-              sp.service_start_ns = a.dispatch_ns;
-              sp.service_end_ns = a.egress_ns;
-              sp.chain_done_ns = a.egress_ns;
-              sp.merge_ns = a.egress_ns;
-              sp.egress_ns = static_cast<std::uint64_t>(eq.now());
-              sp.flow_id = a.flow_id;
-              sp.seq = a.seq;
-              sp.path_id = a.path_id;
-              sp.active = true;
-              mon_->observe_span(a.path_id, sp);
-            }
+            mon_->observe_span(
+                a.path_id,
+                span_of(a, static_cast<std::uint64_t>(eq.now())));
             rig_chan_->emit(static_cast<std::uint64_t>(eq.now()),
                             telem::EventType::kDedupDrop, a.path_id, 1,
-                            keys[i]);
+                            tag(a.flow_id, a.seq));
             got[i].reset();
           }
-        reorder.submit_batch({got, n});
-        for (std::size_t i = 0; i < n; ++i) got[i].reset();
       }
+    };
+
+    // One (flow, seq) into the plane. While the granularity allows flow
+    // replicas (tenantless only), the whole flow rides its stable
+    // admissible pair, both copies expected up front; it is never tracked
+    // in `outstanding` — a replicated flow is already redundant, hedging
+    // it would triple-send. Otherwise `replicas_` copies by pick_path, and
+    // a single copy stays hedgeable.
+    std::vector<std::uint16_t> paths;
+    auto offer = [&](std::uint32_t flow, std::uint16_t tenant) {
+      const std::uint64_t seq = next_seq[flow]++;
+      paths.resize(2);
+      const bool replicated =
+          tenant == kNoTenant &&
+          core::granularity_allows_flow_replica(granularity_) &&
+          replica_pair(flow, paths.data());
+      if (!replicated) {
+        paths.resize(std::min<std::size_t>(replicas_, cfg_.num_paths));
+        for (std::uint16_t& p : paths) p = pick_path(flow);
+      }
+      merge.expect(flow, seq, static_cast<std::uint8_t>(paths.size()));
+      ++res.generated;
+      for (std::size_t c = 0; c < paths.size(); ++c) {
+        net::PacketPtr pkt = make_frame(pool, flow, seq, paths[c],
+                                        static_cast<std::uint8_t>(c), tenant);
+        if (!pkt) {
+          // Pool exhausted: account the missing copy so the merge can
+          // still retire the key. Scenarios size the pool to make this
+          // unreachable; the counter keeps it honest.
+          merge.cancel_copy(flow, seq);
+          ++pool_exhausted_;
+          continue;
+        }
+        pkt->anno().ingress_ns = now_ns_;
+        queues_[paths[c]].push_back(std::move(pkt));
+        ++res.copies_sent;
+        if (replicated && c > 0) ++res.flow_replicas;
+      }
+      if (paths.size() == 1)
+        outstanding.push_back({flow, seq, now_ns_, paths[0], false, tenant});
     };
 
     const std::uint64_t total_iters = cfg_.iterations;
@@ -413,7 +411,7 @@ class ChaosRig {
       const bool generating = iter < total_iters;
       if (generating && num_tenants > 0) {
         // Tenant mode. One packet into the plane, gated at the door:
-        // admission refusal happens BEFORE dedup.expect, so a shed
+        // admission refusal happens BEFORE merge.expect, so a shed
         // tenant's packets never become expected keys and the
         // exactly-once / zero-leak invariants hold under any flap.
         auto emit_tenant = [&](std::uint16_t t, std::uint32_t flow) {
@@ -424,29 +422,7 @@ class ChaosRig {
             last_seq.resize(flow + 1, 0);
             any_seq.resize(flow + 1, false);
           }
-          const std::uint64_t seq = next_seq[flow]++;
-          const std::uint64_t key = core::Deduplicator::key(flow, seq);
-          const std::size_t copies =
-              std::min<std::size_t>(replicas_, cfg_.num_paths);
-          dedup.expect(key, static_cast<std::uint8_t>(copies), eq.now());
-          ++res.generated;
-          std::uint16_t first_path = 0;
-          for (std::size_t c = 0; c < copies; ++c) {
-            const std::uint16_t path = pick_path(flow);
-            if (c == 0) first_path = path;
-            net::PacketPtr pkt = make_frame(
-                pool, flow, seq, path, static_cast<std::uint8_t>(c), t);
-            if (!pkt) {
-              dedup.cancel_one(key);
-              ++pool_exhausted_;
-              continue;
-            }
-            pkt->anno().ingress_ns = now;
-            queues_[path].push_back(std::move(pkt));
-            ++res.copies_sent;
-          }
-          if (copies == 1)
-            outstanding.push_back({key, flow, seq, now, first_path, false, t});
+          offer(flow, t);
         };
         // Storm events: each arrival opens a flow (and emits its first
         // packet); teardowns retire flows FIFO per tenant.
@@ -486,61 +462,9 @@ class ChaosRig {
                           telem::kAllPaths,
                           static_cast<std::uint32_t>(burst), res.generated);
       } else if (generating) {
-        for (std::uint64_t g = 0; g < cfg_.packets_per_iter; ++g) {
-          const std::uint32_t flow =
-              static_cast<std::uint32_t>(next_u64() % cfg_.flows);
-          const std::uint64_t seq = next_seq[flow]++;
-          const std::uint64_t key = core::Deduplicator::key(flow, seq);
-          // Flow-granularity replication: the whole flow rides its stable
-          // admissible pair, both copies expected up front (first copy
-          // wins at dedup). Never tracked in `outstanding` — a replicated
-          // flow is already redundant, hedging it would triple-send.
-          std::uint16_t rpaths[2];
-          if (cfg_.flow_replica &&
-              core::granularity_allows_flow_replica(granularity_) &&
-              replica_pair(flow, rpaths)) {
-            dedup.expect(key, 2, eq.now());
-            ++res.generated;
-            for (std::size_t c = 0; c < 2; ++c) {
-              net::PacketPtr pkt = make_frame(
-                  pool, flow, seq, rpaths[c], static_cast<std::uint8_t>(c));
-              if (!pkt) {
-                dedup.cancel_one(key);
-                ++pool_exhausted_;
-                continue;
-              }
-              pkt->anno().ingress_ns = now;
-              queues_[rpaths[c]].push_back(std::move(pkt));
-              ++res.copies_sent;
-              if (c > 0) ++res.flow_replicas;
-            }
-            continue;
-          }
-          const std::size_t copies =
-              std::min<std::size_t>(replicas_, cfg_.num_paths);
-          dedup.expect(key, static_cast<std::uint8_t>(copies), eq.now());
-          ++res.generated;
-          std::uint16_t first_path = 0;
-          for (std::size_t c = 0; c < copies; ++c) {
-            const std::uint16_t path = pick_path(flow);
-            if (c == 0) first_path = path;
-            net::PacketPtr pkt = make_frame(
-                pool, flow, seq, path, static_cast<std::uint8_t>(c));
-            if (!pkt) {
-              // Pool exhausted: account the missing copy so dedup can
-              // still retire the key. Scenarios size the pool to make
-              // this unreachable; the counter keeps it honest.
-              dedup.cancel_one(key);
-              ++pool_exhausted_;
-              continue;
-            }
-            pkt->anno().ingress_ns = now;
-            queues_[path].push_back(std::move(pkt));
-            ++res.copies_sent;
-          }
-          if (copies == 1)
-            outstanding.push_back({key, flow, seq, now, first_path, false});
-        }
+        for (std::uint64_t g = 0; g < cfg_.packets_per_iter; ++g)
+          offer(static_cast<std::uint32_t>(next_u64() % cfg_.flows),
+                kNoTenant);
         if (cfg_.packets_per_iter > 0)
           rig_chan_->emit(now, telem::EventType::kIngressBurst,
                           telem::kAllPaths,
@@ -551,14 +475,15 @@ class ChaosRig {
       // Hedge sweep: rescue tracked single-copy packets older than the
       // actuated deadline whose first copy has not egressed.
       while (!outstanding.empty() &&
-             (dedup.completed(outstanding.front().key) ||
+             (merge.delivered(outstanding.front().flow,
+                              outstanding.front().seq) ||
               now - outstanding.front().gen_ns > 2 * cfg_.reorder_timeout_ns))
         outstanding.pop_front();
       if (hedge_timeout_ns_ > 0 &&
           core::granularity_allows_hedge(granularity_)) {
         for (auto& o : outstanding) {
           if (now - o.gen_ns <= hedge_timeout_ns_) break;  // gen order
-          if (o.hedged || dedup.completed(o.key)) continue;
+          if (o.hedged || merge.delivered(o.flow, o.seq)) continue;
           // Hedges spend the owning tenant's per-window budget.
           if (ta && !ta->try_consume_hedge_token(o.tenant)) continue;
           const std::uint16_t alt =
@@ -566,18 +491,19 @@ class ChaosRig {
                   ? static_cast<std::uint16_t>((o.path + 1) % cfg_.num_paths)
                   : o.path;
           net::PacketPtr copy = make_frame(pool, o.flow, o.seq, alt, 1,
-                                           ta ? o.tenant : kNoTenant);
+                                           o.tenant);
           if (!copy) {
             ++pool_exhausted_;
             break;
           }
           copy->anno().ingress_ns = o.gen_ns;
-          dedup.add_expected(o.key);
+          merge.add_copy(o.flow, o.seq);
           queues_[alt].push_back(std::move(copy));
           o.hedged = true;
           ++res.hedges_sent;
           ++res.copies_sent;
-          rig_chan_->emit(now, telem::EventType::kHedgeFire, alt, 1, o.key);
+          rig_chan_->emit(now, telem::EventType::kHedgeFire, alt, 1,
+                          tag(o.flow, o.seq));
         }
       }
 
@@ -610,16 +536,16 @@ class ChaosRig {
 
       if ((iter + 1) % cfg_.ctrl_tick_every == 0) controller.tick(now);
       if ((iter + 1) % 4096 == 0)
-        dedup.sweep(eq.now(), sim::TimeNs(4 * cfg_.reorder_timeout_ns));
+        merge.sweep(sim::TimeNs(4 * cfg_.reorder_timeout_ns));
 
       if (!generating && tx->in_flight() == 0 && queues_empty() &&
-          reorder.buffered() == 0)
+          merge.reorder().buffered() == 0)
         break;
     }
 
     eq.run();  // outstanding reorder timers fire
     drain_rx();
-    reorder.flush_all();
+    merge.flush_all();
 
     res.arrived_unique = egress_count.size();
     res.pool_in_use = pool.in_use();
@@ -677,13 +603,12 @@ class ChaosRig {
 
  private:
   struct Outstanding {
-    std::uint64_t key;
     std::uint32_t flow;
     std::uint64_t seq;
     std::uint64_t gen_ns;
     std::uint16_t path;
     bool hedged;
-    std::uint16_t tenant = 0;
+    std::uint16_t tenant;  ///< kNoTenant in tenantless runs
   };
 
   /// The controller's write interface onto the rig: admission + probe
@@ -695,13 +620,13 @@ class ChaosRig {
         : rig_(rig), wire_(wire) {}
     std::size_t num_paths() const override { return rig_.cfg_.num_paths; }
     void set_admission(std::size_t path, core::PathAdmission a) override {
-      rig_.admission_[path] = a;
+      rig_.admission_.set(path, a);
       rig_.rig_chan_->emit(rig_.now_ns_, telem::EventType::kAdmissionFlip,
                            static_cast<std::uint16_t>(path),
                            static_cast<std::uint32_t>(a), 0);
     }
     void grant_probes(std::size_t path, std::uint64_t n) override {
-      rig_.probe_credits_[path] += n;
+      rig_.admission_.grant(path, n);
     }
     std::uint64_t path_backlog(std::size_t path) const override {
       return rig_.queues_[path].size();
@@ -764,19 +689,29 @@ class ChaosRig {
     return pkt;
   }
 
-  bool admissible(std::size_t p) const {
-    switch (admission_[p]) {
-      case core::PathAdmission::kEnabled: return true;
-      case core::PathAdmission::kProbeOnly: return probe_credits_[p] > 0;
-      case core::PathAdmission::kDisabled: return false;
-    }
-    return false;
+  /// Stage-attributed span from the rig's stamps: generation -> queue
+  /// (ingress/dispatch), tx onto the wire (service start), rx off the wire
+  /// (service end / merge), merge emit or dedup drop (`egress_ns`).
+  static trace::SpanRecord span_of(const net::Annotations& a,
+                                   std::uint64_t egress_ns) {
+    trace::SpanRecord sp;
+    sp.ingress_ns = a.ingress_ns;
+    sp.dispatch_ns = a.ingress_ns;
+    sp.service_start_ns = a.dispatch_ns;
+    sp.service_end_ns = a.egress_ns;
+    sp.chain_done_ns = a.egress_ns;
+    sp.merge_ns = a.egress_ns;
+    sp.egress_ns = egress_ns;
+    sp.flow_id = a.flow_id;
+    sp.seq = a.seq;
+    sp.path_id = a.path_id;
+    sp.active = true;
+    return sp;
   }
 
-  void consume_credit(std::size_t p) {
-    if (admission_[p] == core::PathAdmission::kProbeOnly &&
-        probe_credits_[p] > 0)
-      --probe_credits_[p];
+  /// (flow, seq) as one word, for logs and recorder payloads.
+  static std::uint64_t tag(std::uint32_t flow, std::uint64_t seq) noexcept {
+    return (std::uint64_t{flow} << 32) | seq;
   }
 
   /// Stable replica pair for `flow`: the first two admissible paths
@@ -785,45 +720,30 @@ class ChaosRig {
   /// two paths are admissible, so a storm that masks paths degrades
   /// replication gracefully instead of double-sending on one survivor.
   bool replica_pair(std::uint32_t flow, std::uint16_t out[2]) {
-    if (cfg_.num_paths < 2) return false;
-    std::size_t n = 0;
-    const std::size_t home = flow % cfg_.num_paths;
-    for (std::size_t off = 0; off < cfg_.num_paths && n < 2; ++off) {
-      const std::size_t p = (home + off) % cfg_.num_paths;
-      if (admissible(p)) out[n++] = static_cast<std::uint16_t>(p);
-    }
-    if (n < 2) return false;
-    consume_credit(out[0]);
-    consume_credit(out[1]);
+    const std::size_t n = cfg_.num_paths;
+    const std::size_t p0 = admission_.first_from(flow % n);
+    if (n < 2 || !admission_.candidate(p0)) return false;
+    const std::size_t p1 = admission_.first_from((p0 + 1) % n);
+    if (p1 == p0) return false;
+    out[0] = static_cast<std::uint16_t>(p0);
+    out[1] = static_cast<std::uint16_t>(p1);
+    admission_.place(p0);
+    admission_.place(p1);
     return true;
   }
 
-  /// Path selection; probe credits are consumed one per placement. Falls
-  /// back to the full set if everything is masked (same belt-and-braces
-  /// rule as ThreadedDataPlane::pick_path).
+  /// Path selection: flow affinity is ThreadedDataPlane's hash pick keyed
+  /// by flow id, spraying its rr pick. One probe credit per placement.
   std::uint16_t pick_path(std::uint32_t flow) {
+    std::size_t p;
     if (cfg_.flow_affinity) {
-      const std::size_t home = flow % cfg_.num_paths;
-      for (std::size_t off = 0; off < cfg_.num_paths; ++off) {
-        const std::size_t p = (home + off) % cfg_.num_paths;
-        if (admissible(p)) {
-          consume_credit(p);
-          return static_cast<std::uint16_t>(p);
-        }
-      }
-      return static_cast<std::uint16_t>(home);  // all masked: serve anyway
+      p = admission_.first_from(flow % cfg_.num_paths);
+    } else {
+      p = admission_.first_from(rr_);
+      rr_ = (p + 1) % cfg_.num_paths;
     }
-    bool any = false;
-    for (std::size_t p = 0; p < cfg_.num_paths; ++p)
-      if (admissible(p)) { any = true; break; }
-    for (std::size_t tries = 0; tries < cfg_.num_paths; ++tries) {
-      const std::size_t p = rr_++ % cfg_.num_paths;
-      if (!any || admissible(p)) {
-        consume_credit(p);
-        return static_cast<std::uint16_t>(p);
-      }
-    }
-    return static_cast<std::uint16_t>(rr_++ % cfg_.num_paths);
+    admission_.place(p);
+    return static_cast<std::uint16_t>(p);
   }
 
   bool queues_empty() const {
@@ -842,8 +762,7 @@ class ChaosRig {
   ChaosScenarioConfig cfg_;
   std::unique_ptr<ctrl::SloMonitor> mon_;
   std::vector<std::deque<net::PacketPtr>> queues_;
-  std::vector<core::PathAdmission> admission_;
-  std::vector<std::uint64_t> probe_credits_;
+  core::AdmissionSet admission_;
   std::size_t replicas_ = 1;
   std::uint64_t hedge_timeout_ns_ = 0;
   core::Granularity granularity_ = core::Granularity::kPacketHedge;

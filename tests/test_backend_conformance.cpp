@@ -5,10 +5,9 @@
 // partial-burst ownership, packet-pool accounting at quiesce. The
 // loopback wire then doubles as the fault harness: byte-for-byte VXLAN
 // round trips, seeded determinism, drop/dup/delay/reorder lanes, and the
-// receive-side healing pipeline (Deduplicator::accept_batch +
-// ReorderBuffer::submit_batch) driven by a 10k-packet seeded property
-// test asserting exactly-once, in-order-per-flow delivery with zero pool
-// leaks. AF_XDP/DPDK backends added later must join the INSTANTIATE list
+// receive-side healing pipeline (core::Merge: dedup + reorder over each
+// drained burst) driven by a 10k-packet seeded property test asserting
+// exactly-once, in-order-per-flow delivery with zero pool leaks. AF_XDP/DPDK backends added later must join the INSTANTIATE list
 // and pass unchanged.
 #include <gtest/gtest.h>
 
@@ -21,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/dedup.hpp"
+#include "core/merge.hpp"
 #include "core/reorder.hpp"
 #include "io/loopback_backend.hpp"
 #include "io/packet_backend.hpp"
@@ -463,31 +462,28 @@ TEST(LoopbackHealing, DeduplicatorDeliversExactlyOnceUnderDupFaults) {
   io::LoopbackFaults f;
   f.dup_rate = 1.0;  // the wire doubles every frame
   a->set_path_faults(0, f);
-  core::Deduplicator dedup;
+  std::uint64_t egressed = 0;
+  core::Merge merge(eq, {}, [&](net::PacketPtr) { ++egressed; });
   constexpr std::uint64_t kSeqs = 200;
   std::uint64_t delivered = 0, arrivals = 0;
   for (std::uint64_t seq = 0; seq < kSeqs; ++seq) {
-    dedup.expect(core::Deduplicator::key(3, seq), 2, eq.now());
+    merge.expect(3, seq, 2);
     net::PacketPtr frames[1] = {make_frame(pool, 3, seq, 0)};
     ASSERT_EQ(a->tx_burst(frames), 1u);
     net::PacketPtr got[8];
     std::size_t n;
     while ((n = b->rx_burst(got)) > 0) {
-      std::uint64_t keys[8];
-      bool first[8];
-      for (std::size_t i = 0; i < n; ++i)
-        keys[i] = core::Deduplicator::key(got[i]->anno().flow_id,
-                                          got[i]->anno().seq);
       arrivals += n;
-      delivered += dedup.accept_batch({keys, n}, {first, n});
-      for (std::size_t i = 0; i < n; ++i) got[i].reset();
+      delivered += merge.receive({got, n});
+      for (std::size_t i = 0; i < n; ++i) got[i].reset();  // the losers
     }
   }
   EXPECT_EQ(a->duplicated(), kSeqs);
   EXPECT_EQ(arrivals, 2 * kSeqs) << "every frame arrived twice";
   EXPECT_EQ(delivered, kSeqs) << "but egressed exactly once";
-  EXPECT_EQ(dedup.dup_drops(), kSeqs);
-  EXPECT_EQ(dedup.pending(), 0u);
+  EXPECT_EQ(egressed, kSeqs);
+  EXPECT_EQ(merge.dedup().dup_drops(), kSeqs);
+  EXPECT_EQ(merge.dedup().pending(), 0u);
   EXPECT_EQ(pool.in_use(), 0u);
 }
 
@@ -519,8 +515,8 @@ TEST(LoopbackHealing, ReorderBufferHealsWireReordering) {
         if (!first_rx && got[i]->anno().seq < last_rx) ++wire_order_breaks;
         last_rx = got[i]->anno().seq;
         first_rx = false;
+        reorder.submit(std::move(got[i]));
       }
-      reorder.submit_batch({got, n});
       eq.run_until(eq.now() + 100);
     }
   }
@@ -529,7 +525,7 @@ TEST(LoopbackHealing, ReorderBufferHealsWireReordering) {
     net::PacketPtr got[16];
     std::size_t n;
     while ((n = b->rx_burst(got)) > 0) {
-      reorder.submit_batch({got, n});
+      for (std::size_t i = 0; i < n; ++i) reorder.submit(std::move(got[i]));
       eq.run_until(eq.now() + 100);
     }
   }
@@ -605,7 +601,6 @@ TEST(LoopbackHealing, PropertyTenThousandPacketsExactlyOnceInOrder) {
   tx->set_path_faults(0, path0);
   tx->set_path_faults(1, path1);
 
-  core::Deduplicator dedup;
   std::map<std::pair<std::uint32_t, std::uint64_t>, int> egressed;
   std::vector<std::uint64_t> last_seq(kFlows, 0);
   std::vector<bool> any_seq(kFlows, false);
@@ -613,7 +608,7 @@ TEST(LoopbackHealing, PropertyTenThousandPacketsExactlyOnceInOrder) {
   // Timeout is sized >> the wire's worst dwell (~8 ticks of eq time) so a
   // skip can never outrun an in-flight copy, yet small enough that timers
   // fire mid-run and permanent holes don't strand the whole tail.
-  core::ReorderBuffer reorder(
+  core::Merge merge(
       eq, {true, 10'000}, [&](net::PacketPtr pkt) {
         const auto& a = pkt->anno();
         ++egressed[{a.flow_id, a.seq}];
@@ -628,18 +623,10 @@ TEST(LoopbackHealing, PropertyTenThousandPacketsExactlyOnceInOrder) {
     net::PacketPtr got[64];
     std::size_t n;
     while ((n = rx->rx_burst(got)) > 0) {
-      std::uint64_t keys[64];
-      bool first[64];
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto& a = got[i]->anno();
-        arrived.insert({a.flow_id, a.seq});
-        keys[i] = core::Deduplicator::key(a.flow_id, a.seq);
-      }
-      dedup.accept_batch({keys, n}, {first, n});
       for (std::size_t i = 0; i < n; ++i)
-        if (!first[i]) got[i].reset();  // duplicate copy: dropped here
-      reorder.submit_batch({got, n});
-      for (std::size_t i = 0; i < n; ++i) got[i].reset();
+        arrived.insert({got[i]->anno().flow_id, got[i]->anno().seq});
+      merge.receive({got, n});
+      for (std::size_t i = 0; i < n; ++i) got[i].reset();  // duplicates
       eq.run_until(eq.now() + 50);
     }
   };
@@ -647,7 +634,7 @@ TEST(LoopbackHealing, PropertyTenThousandPacketsExactlyOnceInOrder) {
   for (std::uint64_t seq = 0; seq < kSeqsPerFlow; ++seq) {
     for (std::uint32_t flow = 0; flow < kFlows; ++flow) {
       tx->advance(1);  // one wire tick per offered redundant pair
-      dedup.expect(core::Deduplicator::key(flow, seq), 2, eq.now());
+      merge.expect(flow, seq, 2);
       net::PacketPtr copies[2] = {make_frame(pool, flow, seq, 0, 0),
                                   make_frame(pool, flow, seq, 1, 1)};
       ASSERT_TRUE(copies[0] && copies[1]) << "pool sized for the sweep";
@@ -665,7 +652,7 @@ TEST(LoopbackHealing, PropertyTenThousandPacketsExactlyOnceInOrder) {
   }
   eq.run();   // all timeout timers fire: windows hop permanent holes
   drain();
-  reorder.flush_all();
+  merge.flush_all();
 
   // exactly-once: nothing egressed twice, and everything that survived
   // the wire egressed.
@@ -683,7 +670,7 @@ TEST(LoopbackHealing, PropertyTenThousandPacketsExactlyOnceInOrder) {
   EXPECT_LT(arrived.size(), kFlows * kSeqsPerFlow)
       << "some seqs lost both copies (the interesting case)";
   EXPECT_EQ(order_violations, 0u) << "per-flow egress stayed in order";
-  EXPECT_EQ(reorder.buffered(), 0u);
+  EXPECT_EQ(merge.reorder().buffered(), 0u);
   EXPECT_EQ(pool.in_use(), 0u) << "zero pool leaks at quiesce";
   EXPECT_EQ(pool.total_allocs(), pool.total_recycles());
 }

@@ -247,6 +247,8 @@ TEST(ChaosSoak, EightSeedSweepHoldsAllInvariants) {
         << label << ": every surviving (flow, seq) egressed exactly once";
     EXPECT_GT(r.wire_dropped + r.wire_duplicated + r.wire_reordered, 0u)
         << label << ": the storms must actually fire";
+    EXPECT_EQ(r.flow_replicas, 0u)
+        << label << ": granularity kPacketHedge sends no flow replicas";
     total_hedges += r.hedges_sent;
     total_decisions += r.decisions.size();
   }
@@ -260,12 +262,10 @@ TEST(ChaosSoak, EightSeedSweepHoldsAllInvariants) {
 // Flow-granularity replication soak: the same storms, but every flow rides
 // a stable pair of faulty paths with both copies expected at dedup.
 // First-copy-wins must hold exactly-once / in-order / zero-leak across
-// seeds, reruns must be byte-identical, and the lever parked at
-// kPacketHedge must leave the rig byte-for-byte the legacy machine.
+// seeds, and reruns must be byte-identical.
 
 ChaosScenarioConfig replica_soak_cfg(std::uint64_t seed) {
   ChaosScenarioConfig cfg = soak_cfg(seed);
-  cfg.flow_replica = true;
   cfg.granularity = core::Granularity::kBoth;  // replicas AND hedging live
   return cfg;
 }
@@ -308,30 +308,6 @@ TEST(ChaosFlowReplica, SameSeedIsByteIdentical) {
   EXPECT_EQ(a.telem_dump, b.telem_dump);
   EXPECT_EQ(a.telem_report, b.telem_report);
 }
-
-TEST(ChaosFlowReplica, LeverOffIsByteIdenticalToLegacyRig) {
-  // flow_replica=true but granularity parked at kPacketHedge: the replica
-  // branch is dead code, and the rig must be indistinguishable from the
-  // pre-replication harness — same RNG draws, same egress order, same
-  // decision log. This is the "disabled means OFF" contract.
-  ChaosScenarioConfig legacy = soak_cfg(42);
-  legacy.iterations = 30'000;
-  ChaosScenarioConfig parked = legacy;
-  parked.flow_replica = true;
-  parked.granularity = core::Granularity::kPacketHedge;
-  ChaosResult a = ChaosRig(legacy).run();
-  ChaosResult b = ChaosRig(parked).run();
-  EXPECT_EQ(b.flow_replicas, 0u);
-  EXPECT_EQ(a.delivered_log, b.delivered_log)
-      << "a parked replication lever must not perturb the packet stream";
-  EXPECT_EQ(a.ctrl_report, b.ctrl_report);
-  EXPECT_EQ(a.telem_dump, b.telem_dump);
-  EXPECT_EQ(a.hedges_sent, b.hedges_sent);
-}
-
-// ---------------------------------------------------------------------------
-// Determinism: the decision log is a reproducible artifact. Same seed ->
-// byte-identical report JSON and identical egress order.
 
 TEST(ChaosSoak, SameSeedIsByteIdentical) {
   ChaosScenarioConfig cfg = soak_cfg(42);

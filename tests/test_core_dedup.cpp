@@ -1,12 +1,13 @@
 // Deduplicator tests: exactly-once acceptance, expected-count accounting,
-// hedge increments, cancellation, and the age sweep.
+// hedge increments, cancellation, and the age sweep; core::Merge's burst
+// receive against its per-packet receive.
 #include <gtest/gtest.h>
 
 #include "core/dedup.hpp"
-#include "core/reorder.hpp"
+#include "merge_stream.hpp"
 #include "sim/rng.hpp"
 
-#include <iterator>
+#include <set>
 #include <vector>
 
 namespace mdp::core {
@@ -168,88 +169,65 @@ TEST(Dedup, LateDuplicateAfterFlushAllIsReleasedNotLeaked) {
   // pool.
   sim::EventQueue eq;
   net::PacketPool pool{64, 256};
-  Deduplicator d;
   std::vector<std::uint64_t> egressed;
-  ReorderBuffer rb(eq, ReorderConfig{}, [&](net::PacketPtr p) {
+  Merge merge(eq, ReorderConfig{}, [&](net::PacketPtr p) {
     egressed.push_back(p->anno().seq);  // PacketPtr recycles on scope exit
   });
-
-  auto make = [&](std::uint64_t seq) {
+  auto arrive = [&](std::uint64_t seq) {
     auto p = pool.alloc();
-    p->set_length(64);
     p->anno().flow_id = 7;
     p->anno().seq = seq;
-    return p;
-  };
-  // Merge-stage contract (MdpDataPlane::on_service_end): dedup verdict
-  // first, and only the accepted copy reaches the reorder buffer.
-  auto merge = [&](net::PacketPtr p) {
-    const auto k = Deduplicator::key(p->anno().flow_id, p->anno().seq);
-    if (!d.accept(k)) return;  // duplicate/late copy recycles right here
-    rb.submit(std::move(p));
+    return merge.receive(std::move(p));  // a loser comes back, recycles
   };
 
-  d.expect(Deduplicator::key(7, 0), 2, /*now=*/0);
-  d.expect(Deduplicator::key(7, 1), 2, /*now=*/0);
-
-  merge(make(1));  // out of order: parks in the buffer waiting for seq 0
-  EXPECT_EQ(rb.buffered(), 1u);
+  merge.expect(7, 0, 2);
+  merge.expect(7, 1, 2);
+  EXPECT_FALSE(arrive(1));  // out of order: parks waiting for seq 0
+  EXPECT_EQ(merge.reorder().buffered(), 1u);
   EXPECT_EQ(egressed.size(), 0u);
 
   // Path down: flush everything now; seq 1 egresses past the hole.
-  EXPECT_EQ(rb.flush_all(), 1u);
+  EXPECT_EQ(merge.flush_all(), 1u);
   ASSERT_EQ(egressed.size(), 1u);
   EXPECT_EQ(egressed[0], 1u);
   EXPECT_EQ(pool.in_use(), 0u) << "flush_all leaked the buffered packet";
 
   // The age sweep retires both half-open entries (seq 0 never arrived at
   // all; seq 1 still owes its second copy)...
-  EXPECT_EQ(d.sweep(/*now=*/1'000'000, /*max_age=*/500'000), 2u);
-  EXPECT_EQ(d.pending(), 0u);
+  eq.run_until(1'000'000);
+  EXPECT_EQ(merge.sweep(/*max_age=*/500'000), 2u);
+  EXPECT_EQ(merge.dedup().pending(), 0u);
 
   // ...and only now do the stragglers arrive: the duplicate of the
   // flushed seq-1 original, and the seq-0 copy whose twin died with the
   // path. Both must be recycled, neither may egress.
-  merge(make(1));
-  merge(make(0));
-  EXPECT_EQ(d.late_drops(), 2u);
+  EXPECT_TRUE(arrive(1));
+  EXPECT_TRUE(arrive(0));
+  EXPECT_EQ(merge.dedup().late_drops(), 2u);
   EXPECT_EQ(egressed.size(), 1u) << "a late copy re-egressed after flush";
   EXPECT_EQ(pool.in_use(), 0u) << "late duplicates leaked packets";
 }
 
-TEST(Dedup, AcceptBatchMatchesScalarAccept) {
-  // Burst drain is a straight loop over accept(): same verdicts, same
-  // counters, one call per burst.
-  Deduplicator scalar, batch;
-  std::vector<std::uint64_t> keys;
-  for (std::uint32_t f = 0; f < 4; ++f) {
-    auto k = Deduplicator::key(f, 7);
-    scalar.expect(k, 2, 0);
-    batch.expect(k, 2, 0);
-    keys.push_back(k);  // first copy
-    keys.push_back(k);  // duplicate copy
+TEST(MergeDifferential, BurstReceiveMatchesPerPacketOnCopyHeavyStreams) {
+  // 1–3 copies per packet, frequent hedges, cancelled copies and wire
+  // duplicates: receive() on a burst must be exactly one receive() per
+  // copy — same first-copy verdicts, egress, dwell and stats.
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    const test::MergeStreamConfig c{
+        .seed = seed, .hedge_p = 0.3, .cancel_p = 0.1, .dup_p = 0.2};
+    const test::MergeRun a = test::run_merge_stream(c, false);
+    const test::MergeRun b = test::run_merge_stream(c, true);
+    EXPECT_EQ(a.won, b.won);
+    EXPECT_EQ(a.egress, b.egress);
+    EXPECT_TRUE(a.stats == b.stats);
+    EXPECT_EQ(a.pool_in_use + b.pool_in_use, 0u);
+    EXPECT_GT(a.stats.dup_drops, 0u);
+    EXPECT_GT(a.stats.late_drops, 0u);
+    // Exactly once: no (flow, seq) egresses twice.
+    std::set<std::uint64_t> tags;
+    for (const auto& e : a.egress) EXPECT_TRUE(tags.insert(e.first).second);
   }
-  keys.push_back(Deduplicator::key(99, 99));  // never registered: late
-
-  std::vector<bool> expected;
-  std::size_t scalar_firsts = 0;
-  for (auto k : keys) {
-    bool first = scalar.accept(k);
-    expected.push_back(first);
-    if (first) ++scalar_firsts;
-  }
-
-  // std::vector<bool> has no .data(); use a plain bool array as the span.
-  bool storage[16];
-  ASSERT_LE(keys.size(), std::size(storage));
-  std::size_t firsts = batch.accept_batch(keys, {storage, keys.size()});
-
-  EXPECT_EQ(firsts, scalar_firsts);
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    EXPECT_EQ(storage[i], expected[i]) << "verdict " << i;
-  EXPECT_EQ(batch.dup_drops(), scalar.dup_drops());
-  EXPECT_EQ(batch.late_drops(), scalar.late_drops());
-  EXPECT_EQ(batch.pending(), scalar.pending());
 }
 
 }  // namespace

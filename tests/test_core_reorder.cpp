@@ -1,11 +1,13 @@
 // ReorderBuffer tests: in-order passthrough, hole buffering, timeout skip,
-// late delivery after skip, detection-only mode, and the random-permutation
-// in-order-egress property.
+// late delivery after skip, detection-only mode, the random-permutation
+// in-order-egress property, and core::Merge's burst receive against its
+// per-packet receive.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/reorder.hpp"
+#include "merge_stream.hpp"
 #include "sim/rng.hpp"
 
 namespace mdp::core {
@@ -175,22 +177,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReorderPermutationProperty,
                          ::testing::Range(1, 9));
 
 
-TEST_F(ReorderFixture, SubmitBatchSkipsNullsAndResequences) {
-  // A dedup-compacted burst: some slots null, survivors out of order.
-  // submit_batch must behave exactly like a per-packet submit loop —
-  // nulls skipped, holes buffered, drains on arrival of predecessors.
-  auto rb = make();
-  std::vector<net::PacketPtr> burst;
-  burst.push_back(pkt(1, 2));       // early: buffered
-  burst.push_back(net::PacketPtr{});  // dedup-dropped slot
-  burst.push_back(pkt(1, 0));       // in order: released
-  burst.push_back(pkt(1, 1));       // fills the hole: 1 then 2 drain
-  burst.push_back(net::PacketPtr{});
-  rb->submit_batch(burst);
-  ASSERT_EQ(egressed.size(), 3u);
-  for (std::uint64_t s = 0; s < 3; ++s) EXPECT_EQ(egressed[s].second, s);
-  EXPECT_EQ(rb->buffered(), 0u);
-  EXPECT_EQ(rb->out_of_order(), 1u);
+TEST(MergeDifferential, BurstReceiveMatchesPerPacketOnReorderHeavyStreams) {
+  // Wide arrival spread, holes that only the timeout closes, and flows
+  // ended from inside the emit callback (their windows retire once the
+  // emitting drain returns): burst and per-packet receive must agree on
+  // egress order, egress times and dwell.
+  for (std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(seed);
+    const test::MergeStreamConfig c{.seed = seed,
+                                    .flows = 16,
+                                    .packets_per_flow = 120,
+                                    .max_delay_ticks = 40,
+                                    .cancel_p = 0.08,
+                                    .end_flows = true};
+    const test::MergeRun a = test::run_merge_stream(c, false);
+    const test::MergeRun b = test::run_merge_stream(c, true);
+    EXPECT_EQ(a.won, b.won);
+    EXPECT_EQ(a.egress, b.egress);
+    EXPECT_TRUE(a.stats == b.stats);
+    EXPECT_EQ(a.pool_in_use + b.pool_in_use, 0u);
+    EXPECT_GT(a.stats.out_of_order, 0u);
+    EXPECT_GT(a.stats.timeout_releases, 0u);
+    // A flow whose last seq egressed was ended and its window is gone;
+    // only flows whose last seq was lost in flight keep one.
+    std::uint64_t ended = 0;
+    for (const auto& e : a.egress)
+      if ((e.first & 0xffffffffu) + 1 == c.packets_per_flow) ++ended;
+    EXPECT_GT(ended, 0u);
+    EXPECT_EQ(a.stats.tracked_flows, c.flows - ended);
+    EXPECT_EQ(a.stats.buffered, 0u);
+  }
 }
 
 }  // namespace

@@ -350,7 +350,6 @@ ChaosScenarioConfig ramp_storm_cfg(std::uint64_t seed) {
   cfg.packets_per_iter = 2;
   cfg.drain_per_iter = {8, 8};
   cfg.flow_affinity = true;  // keep the slow path's pain in its own spans
-  cfg.observe_late_copies = true;
   cfg.ctrl = forecast_ctrl();
   const std::uint32_t delays[] = {2, 4, 6, 8};
   std::uint64_t from = 4'000;
@@ -455,7 +454,6 @@ TEST(ForecastChaos, NoStormSoakNeverActuates) {
   cfg.flows = 4;
   cfg.packets_per_iter = 2;
   cfg.drain_per_iter = {8, 8};
-  cfg.observe_late_copies = true;
   cfg.ctrl = forecast_ctrl();
   ChaosResult r = ChaosRig(cfg).run();
   expect_rig_invariants(r, "calm");
@@ -496,12 +494,10 @@ TEST(ForecastChaos, SameSeedIsByteIdentical) {
 }
 
 TEST(ForecastChaos, DisabledIsByteIdenticalToThePreForecastController) {
-  // The same storm, three configs: the plain pre-forecast default, the
-  // default with every forecast KNOB customized but enabled=false, and
-  // the harness observe_late_copies flag off (its own default). All
-  // three must produce byte-identical artifacts — "disabled means OFF",
-  // the same contract the replication lever honors — and none may leak
-  // a single forecast key into any report.
+  // The same storm, two configs: the plain pre-forecast default, and the
+  // default with every forecast KNOB customized but enabled=false. Both
+  // must produce byte-identical artifacts — "disabled means OFF" — and
+  // neither may leak a single forecast key into any report.
   ChaosScenarioConfig legacy;
   legacy.seed = 64;
   legacy.iterations = 15'000;

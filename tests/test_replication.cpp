@@ -3,18 +3,20 @@
 //   - FlowReplicator unit behavior: size-class gating, per-tenant token
 //     budgets (charged once per flow), disjoint path selection from
 //     backlog evidence, starvation fallback, decision caching;
-//   - Deduplicator flow-copy registry: first-copy-wins per sequence,
-//     mid-flow downshift, release_flow retiring in-flight copies;
+//   - core::Merge under flow replication: first-copy-wins per sequence,
+//     end_flow retiring in-flight copies;
 //   - MdpDataPlane end to end: replication disabled (or the lever parked
 //     at kPacketHedge) is byte-identical to the seed plane; enabled
 //     replication keeps exactly-once / in-order / zero-leak while
-//     actually double-sending short flows;
+//     actually double-sending short flows, and a mid-flow downshift
+//     returns later sequences to one copy; end_flow retires every
+//     per-flow entry under 100k-flow churn;
 //   - Controller e2e: a delay-lane storm escalates the granularity lever
 //     packet -> flow and back, with every shift a logged decision.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -170,74 +172,61 @@ TEST(FlowReplicator, PathStarvationAndDownedReplicaSets) {
   EXPECT_EQ(f.out[0], 3u);
 }
 
-TEST(FlowReplicator, EraseAndClearFireTheDropCallback) {
+TEST(FlowReplicator, EraseAndClearForgetDecisions) {
   ReplFixture f;
   FlowReplicator repl({.enabled = true});
-  std::set<std::uint32_t> dropped;
-  repl.set_drop_callback([&](std::uint32_t flow) { dropped.insert(flow); });
   for (std::uint32_t flow : {1u, 2u, 3u}) {
     auto p = f.make(flow, 2'000);
     repl.route(*p, f.ctx, f.out);
   }
   EXPECT_EQ(repl.tracked(), 3u);
   EXPECT_TRUE(repl.erase(2));
-  EXPECT_EQ(dropped, std::set<std::uint32_t>{2});
+  EXPECT_EQ(repl.tracked(), 2u);
   EXPECT_FALSE(repl.erase(2)) << "double-erase must be a no-op";
   repl.clear();
-  EXPECT_EQ(dropped, (std::set<std::uint32_t>{1, 2, 3}));
   EXPECT_EQ(repl.tracked(), 0u);
+  // A forgotten flow is decided afresh on its next packet.
+  auto p = f.make(1, 2'000);
+  EXPECT_TRUE(repl.route(*p, f.ctx, f.out));
+  EXPECT_EQ(repl.flows_seen(), 4u);
+  EXPECT_EQ(repl.flows_replicated(), 4u);
 }
 
 // ---------------------------------------------------------------------------
-// Deduplicator flow-copy registry.
+// core::Merge under flow replication (every sequence sent as two copies).
 
-TEST(DedupFlowRegistry, FirstCopyWinsPerSequence) {
-  core::Deduplicator d;
-  d.register_flow(9, 2);
-  EXPECT_EQ(d.flow_copies(9), 2u);
-  EXPECT_EQ(d.flow_copies(8), 1u) << "unregistered flows default to 1";
-  for (std::uint64_t seq = 0; seq < 4; ++seq) {
-    d.expect_flow(9, seq, 0);
-    EXPECT_TRUE(d.accept(core::Deduplicator::key(9, seq)));
-    EXPECT_FALSE(d.accept(core::Deduplicator::key(9, seq)))
-        << "second copy of seq " << seq << " must be dropped";
-  }
-  EXPECT_EQ(d.pending(), 0u) << "both copies seen retires the entry";
-  EXPECT_EQ(d.dup_drops(), 4u);
-}
-
-TEST(DedupFlowRegistry, MidFlowDownshiftReturnsToSingleCopy) {
-  core::Deduplicator d;
-  d.register_flow(5, 2);
-  d.expect_flow(5, 0, 0);
-  EXPECT_TRUE(d.deregister_flow(5));
-  EXPECT_FALSE(d.deregister_flow(5));
-  // Sequences expected after the downshift are single-copy: one accept
-  // retires them immediately.
-  d.expect_flow(5, 1, 0);
-  EXPECT_TRUE(d.accept(core::Deduplicator::key(5, 1)));
-  EXPECT_EQ(d.pending(), 1u) << "only the pre-downshift 2-copy entry left";
-  // The pre-downshift entry still expects both copies.
-  EXPECT_TRUE(d.accept(core::Deduplicator::key(5, 0)));
-  EXPECT_FALSE(d.accept(core::Deduplicator::key(5, 0)));
-  EXPECT_EQ(d.pending(), 0u);
-}
-
-TEST(DedupFlowRegistry, ReleaseFlowRetiresInFlightCopies) {
-  core::Deduplicator d;
-  d.register_flow(3, 2);
-  for (std::uint64_t seq = 0; seq < 3; ++seq) d.expect_flow(3, seq, 0);
-  d.register_flow(4, 2);
-  d.expect_flow(4, 0, 0);
-  EXPECT_EQ(d.pending(), 4u);
-  // Flow 3 completes with copies still in flight: its entries retire;
-  // flow 4's survives.
-  EXPECT_EQ(d.release_flow(3), 3u);
-  EXPECT_EQ(d.pending(), 1u);
-  // The straggler copies arrive after release: late drops, not deliveries.
-  EXPECT_FALSE(d.accept(core::Deduplicator::key(3, 1)));
-  EXPECT_EQ(d.late_drops(), 1u);
-  EXPECT_TRUE(d.accept(core::Deduplicator::key(4, 0)));
+TEST(MergeFlowCopies, EndFlowRetiresInFlightCopies) {
+  sim::EventQueue eq;
+  net::PacketPool pool{64, 256};
+  std::size_t egressed = 0;
+  core::Merge merge(eq, {}, [&](net::PacketPtr) { ++egressed; });
+  auto arrive = [&](std::uint32_t flow, std::uint64_t seq) {
+    auto p = pool.alloc();
+    p->anno().flow_id = flow;
+    p->anno().seq = seq;
+    return !merge.receive(std::move(p));  // true iff the copy won
+  };
+  for (std::uint64_t seq = 0; seq < 3; ++seq) merge.expect(3, seq, 2);
+  merge.expect(4, 0, 2);
+  EXPECT_TRUE(arrive(3, 0));
+  EXPECT_FALSE(arrive(3, 0)) << "second copy of a sequence is dropped";
+  EXPECT_TRUE(arrive(3, 2));  // early: held for seq 1
+  EXPECT_EQ(merge.reorder().buffered(), 1u);
+  EXPECT_EQ(merge.dedup().pending(), 3u);
+  // Flow 3 completes with copies still in flight: its dedup entries and
+  // its window retire (the held seq 2 leaves now); flow 4's survive.
+  merge.end_flow(3);
+  EXPECT_EQ(merge.dedup().pending(), 1u);
+  EXPECT_EQ(merge.reorder().buffered(), 0u);
+  EXPECT_EQ(merge.reorder().tracked_flows(), 0u);
+  EXPECT_EQ(egressed, 2u);
+  // The straggler copies arrive after the end: late drops, not deliveries.
+  EXPECT_FALSE(arrive(3, 1));
+  EXPECT_FALSE(arrive(3, 2));
+  EXPECT_EQ(merge.dedup().late_drops(), 2u);
+  EXPECT_TRUE(arrive(4, 0));
+  EXPECT_EQ(egressed, 3u);
+  EXPECT_EQ(pool.in_use(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -326,29 +315,82 @@ TEST(DataPlaneReplication, ReplicatedFlowsStayExactlyOnceInOrder) {
   DpFixture f(cfg);
   constexpr std::uint32_t kFlows = 6;
   constexpr int kPerFlow = 60;
+  constexpr auto kPkts = static_cast<std::uint64_t>(kFlows * kPerFlow);
   f.drive(kFlows, kPerFlow, /*flow_bytes=*/2'000);
 
-  EXPECT_EQ(f.log.size(), static_cast<std::size_t>(kFlows * kPerFlow))
+  EXPECT_EQ(f.log.size(), kPkts)
       << "every (flow, seq) must egress exactly once despite double-send";
+  const auto& fc = f.dp->fast_counters();
+  EXPECT_EQ(fc.get(core::DpCounter::kFlowReplicas), kPkts)
+      << "every packet of every short flow must have sent a second copy";
+  EXPECT_EQ(f.dp->flow_replicator()->flows_replicated(), kFlows);
+  EXPECT_GT(f.dp->dedup().dup_drops(), 0u) << "losing copies must be real";
+  EXPECT_GT(f.dp->extra_copy_bytes(), 0u);
+
+  // Mid-flow downshift: the same flows' later sequences leave as one copy.
+  f.dp->set_granularity(Granularity::kPacketHedge);
+  f.drive(kFlows, kPerFlow, /*flow_bytes=*/2'000);
+  EXPECT_EQ(fc.get(core::DpCounter::kFlowReplicas), kPkts);
+  EXPECT_EQ(f.log.size(), 2 * kPkts);
   std::map<std::uint32_t, std::uint64_t> next;
   for (const auto& [flow, seq, ns] : f.log) {
     EXPECT_EQ(seq, next[flow]) << "flow " << flow;
     next[flow] = seq + 1;
   }
-  const auto& fc = f.dp->fast_counters();
-  EXPECT_EQ(fc.get(core::DpCounter::kFlowReplicas),
-            static_cast<std::uint64_t>(kFlows * kPerFlow))
-      << "every packet of every short flow must have sent a second copy";
-  EXPECT_EQ(f.dp->flow_replicator()->flows_replicated(), kFlows);
-  EXPECT_GT(f.dp->dedup().dup_drops(), 0u) << "losing copies must be real";
-  EXPECT_GT(f.dp->extra_copy_bytes(), 0u);
   EXPECT_EQ(f.pool.in_use(), 0u) << "no leaks";
 
   // Flow completion retires all per-flow state.
   for (std::uint32_t fl = 0; fl < kFlows; ++fl) f.dp->end_flow(fl);
   EXPECT_EQ(f.dp->flow_replicator()->tracked(), 0u);
-  EXPECT_EQ(f.dp->dedup().registered_flows(), 0u);
   EXPECT_EQ(f.dp->dedup().pending(), 0u);
+  EXPECT_EQ(f.dp->reorder().tracked_flows(), 0u);
+  EXPECT_EQ(f.dp->seq_tracked_flows(), 0u);
+}
+
+TEST(DataPlaneReplication, EndFlowRetiresAllPerFlowStateUnderChurn) {
+  // 100k one-packet flows, each sent as two copies and ended from inside
+  // the egress callback (the RpcWorkload pattern: the resequencer is
+  // still draining that flow when end_flow runs). Nothing per-flow may
+  // outlive its flow.
+  core::DataPlaneConfig cfg{};
+  cfg.num_paths = 4;
+  cfg.functional_chain = false;
+  cfg.dedup_sweep_interval_ns = 0;
+  cfg.flow_repl.enabled = true;
+  sim::EventQueue eq;
+  net::PacketPool pool{1024, 256};
+  core::MdpDataPlane dp(eq, pool, cfg, core::make_scheduler("rss"));
+  constexpr std::uint32_t kFlows = 100'000;
+  std::vector<std::uint8_t> delivered(kFlows, 0);
+  dp.set_egress([&](net::PacketPtr p) {
+    ++delivered[p->anno().flow_id];
+    dp.end_flow(p->anno().flow_id);
+  });
+  for (std::uint32_t fl = 0; fl < kFlows; ++fl) {
+    eq.schedule_at(static_cast<sim::TimeNs>(fl) * 600, [&, fl] {
+      auto pkt = pool.alloc();
+      pkt->set_length(64);
+      auto& a = pkt->anno();
+      a.flow_id = fl;
+      a.flow_hash = fl * 0x9e3779b97f4a7c15ULL;
+      a.flow_bytes = 200;
+      dp.ingress(std::move(pkt));
+    });
+  }
+  eq.run();
+
+  EXPECT_EQ(dp.flow_replicator()->flows_replicated(), kFlows);
+  EXPECT_EQ(dp.fast_counters().get(core::DpCounter::kFlowReplicas), kFlows);
+  EXPECT_EQ(std::count(delivered.begin(), delivered.end(), 1),
+            static_cast<std::ptrdiff_t>(kFlows))
+      << "every packet delivered exactly once";
+  EXPECT_EQ(dp.dedup().late_drops(), kFlows)
+      << "each losing copy arrived after its flow ended";
+  EXPECT_EQ(dp.reorder().tracked_flows(), 0u);
+  EXPECT_EQ(dp.seq_tracked_flows(), 0u);
+  EXPECT_EQ(dp.dedup().pending(), 0u);
+  EXPECT_EQ(dp.flow_replicator()->tracked(), 0u);
+  EXPECT_EQ(pool.in_use(), 0u);
 }
 
 TEST(DataPlaneReplication, ElephantsAreGatedToSinglePath) {
@@ -376,7 +418,6 @@ TEST(GranularityE2E, DelayStormFlipsPacketToFlowAndBack) {
   cfg.packets_per_iter = 1;
   cfg.drain_per_iter = {8, 8};
   cfg.flow_affinity = true;  // keep the slow wire's pain in its own spans
-  cfg.flow_replica = true;   // rig capability; the LEVER decides engagement
   cfg.granularity = Granularity::kPacketHedge;
   cfg.ctrl.slo_target_ns = 10'000;
   cfg.ctrl.violation_threshold = 0.25;
