@@ -46,7 +46,6 @@ Result run(Variant variant) {
   net::PacketPool pool(8192, 2048);
   core::DataPlaneConfig cfg;
   cfg.num_paths = 4;
-  cfg.dedup_sweep_interval_ns = 0;
   core::MdpDataPlane dp(eq, pool, cfg, core::make_scheduler("rss"));
 
   Result res;

@@ -399,7 +399,6 @@ static void BM_PlaneBuild(benchmark::State& state) {
   core::DataPlaneConfig cfg;
   cfg.num_paths = static_cast<std::size_t>(state.range(0));
   cfg.chain = "fw-nat-lb";
-  cfg.dedup_sweep_interval_ns = 0;
   for (auto _ : state) {
     core::MdpDataPlane dp(eq, pool, cfg, core::make_scheduler("jsq"));
     benchmark::DoNotOptimize(dp.chain_cost_ns());

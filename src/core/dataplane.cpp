@@ -76,18 +76,9 @@ MdpDataPlane::MdpDataPlane(sim::EventQueue& eq, net::PacketPool& pool,
   }
   if (!router_.initialize(&err))
     throw std::runtime_error("router init failed: " + err);
-
-  if (cfg_.dedup_sweep_interval_ns > 0) schedule_dedup_sweep();
 }
 
 MdpDataPlane::~MdpDataPlane() = default;
-
-void MdpDataPlane::schedule_dedup_sweep() {
-  eq_.schedule_in(cfg_.dedup_sweep_interval_ns, [this] {
-    merge_.sweep(cfg_.dedup_max_age_ns);
-    schedule_dedup_sweep();
-  });
-}
 
 sim::TimeNs MdpDataPlane::service_time(const net::Packet& pkt) {
   double base = static_cast<double>(chain_cost_ns_);
@@ -301,7 +292,7 @@ void MdpDataPlane::arm_hedge(std::uint16_t original_path, sim::TimeNs timeout,
 }
 
 stats::CounterSet MdpDataPlane::counters() const {
-  stats::CounterSet out = adhoc_counters_;
+  stats::CounterSet out;
   for (std::size_t i = 0; i < stats::EnumCounters<DpCounter>::kSize; ++i) {
     auto c = static_cast<DpCounter>(i);
     std::uint64_t v = fast_counters_.get(c);
@@ -316,7 +307,6 @@ void MdpDataPlane::register_stats(trace::StatsRegistry& reg) const {
     reg.add_counter(std::string("dp.") + dp_counter_name(c),
                     [this, c] { return fast_counters_.get(c); });
   }
-  reg.add_counter_set("dp", &adhoc_counters_);
 
   for (std::size_t p = 0; p < paths_.size(); ++p) {
     std::string pre = "path" + std::to_string(p) + ".";
@@ -370,7 +360,6 @@ void MdpDataPlane::register_stats(trace::StatsRegistry& reg) const {
   const Deduplicator& dd = merge_.dedup();
   reg.add_counter("dedup.dup_drops", [&dd] { return dd.dup_drops(); });
   reg.add_counter("dedup.late_drops", [&dd] { return dd.late_drops(); });
-  reg.add_counter("dedup.swept", [&dd] { return dd.swept(); });
   reg.add_gauge("dedup.pending",
                 [&dd] { return static_cast<double>(dd.pending()); });
 

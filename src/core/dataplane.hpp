@@ -89,8 +89,6 @@ struct DataPlaneConfig {
   /// enabled, the plane starts at Granularity::kBoth and the control
   /// plane's granularity lever (ctrl::Controller) can move it.
   FlowReplicatorConfig flow_repl{};
-  sim::TimeNs dedup_sweep_interval_ns = 10 * sim::kMillisecond;
-  sim::TimeNs dedup_max_age_ns = 50 * sim::kMillisecond;
   std::uint64_t seed = 42;
 };
 
@@ -222,7 +220,6 @@ class MdpDataPlane final : public PathContext {
   void on_egress(net::PacketPtr pkt);
   void arm_hedge(std::uint16_t original_path, sim::TimeNs timeout,
                  net::PacketPtr clone);
-  void schedule_dedup_sweep();
   sim::TimeNs service_time(const net::Packet& pkt);
 
   sim::EventQueue& eq_;
@@ -240,7 +237,6 @@ class MdpDataPlane final : public PathContext {
   sim::LogNormal jitter_;
   sim::TimeNs chain_cost_ns_ = 0;
   stats::EnumCounters<DpCounter> fast_counters_;
-  stats::CounterSet adhoc_counters_;
   trace::Tracer* tracer_ = nullptr;
   std::unordered_map<std::uint32_t, std::uint64_t> next_seq_;
   // Hedge copies parked until the timeout decides their fate, keyed by

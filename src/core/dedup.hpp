@@ -2,8 +2,8 @@
 // (core::Merge pairs it with the ReorderBuffer). Every (flow, seq) is
 // registered at dispatch time with its expected copy count; the first
 // arriving copy passes, later copies are dropped. Entries retire when all
-// copies accounted for, or via the age sweep for copies that were
-// filtered inside a chain and never arrive.
+// copies are accounted for (arrived or cancelled), or via the age sweep
+// for copies a lossy wire never delivers.
 #pragma once
 
 #include <cstdint>

@@ -31,8 +31,6 @@
 
 namespace mdp::ctrl {
 
-enum class TenantState : std::uint8_t;  // ctrl/tenant.hpp
-
 class Actuator {
  public:
   virtual ~Actuator() = default;
@@ -62,15 +60,6 @@ class Actuator {
   /// hedges.
   virtual void set_hedge_timeout(std::uint64_t timeout_ns) {
     (void)timeout_ns;
-  }
-
-  /// Tenancy: mirror a tenant's admission state into the plane's ingress
-  /// gate (ctrl::TenantAdmission drives this from Controller::tick).
-  /// Default no-op — planes without a tenant gate ignore it; the
-  /// TenantAdmission object itself already answers admit() queries.
-  virtual void set_tenant_admission(std::uint16_t tenant, TenantState s) {
-    (void)tenant;
-    (void)s;
   }
 
   /// Replication granularity: what unit the plane duplicates (none /

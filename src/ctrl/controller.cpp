@@ -612,7 +612,6 @@ void Controller::tick(std::uint64_t now_ns) {
         exporter_->add_tenant(ts);
       }
       if (!r.changed) continue;
-      act_.set_tenant_admission(static_cast<std::uint16_t>(t), r.after);
       Decision d;
       d.tick = tick_;
       d.now_ns = now_ns;

@@ -283,9 +283,9 @@ class Controller {
 
   // --- tenancy (optional; see docs/TENANCY.md) -----------------------------
   /// Attach the per-tenant admission stage: every tick() harvests each
-  /// tenant's window, advances its state machine, actuates transitions
-  /// via Actuator::set_tenant_admission, and logs them with the same
-  /// decision machinery as path quarantine (reasons tenant_throttle /
+  /// tenant's window, advances its state machine (the TenantAdmission
+  /// object itself answers admit() queries), and logs transitions with
+  /// the same decision machinery as path quarantine (reasons tenant_throttle /
   /// tenant_shed / tenant_probation / tenant_reinstate). A transition
   /// INTO kShed auto-dumps the attached flight recorder exactly like a
   /// quarantine does. `ta` must outlive the controller; nullptr detaches.

@@ -76,7 +76,6 @@ double mean_service_ns(const ScenarioConfig& cfg) {
   core::DataPlaneConfig dpc = cfg.dp;
   dpc.num_paths = 1;
   dpc.chain = cfg.chain;
-  dpc.dedup_sweep_interval_ns = 0;
   core::MdpDataPlane probe(eq, pool, dpc,
                            core::make_scheduler("single"));
   double frame = net::kEthernetHeaderLen + net::kIpv4MinHeaderLen +

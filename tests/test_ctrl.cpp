@@ -1042,8 +1042,7 @@ struct SimLoopFixture : ::testing::Test {
 
   sim::EventQueue eq;
   net::PacketPool pool{4096, 2048};
-  core::MdpDataPlane dp{eq, pool,
-                        {.num_paths = 3, .dedup_sweep_interval_ns = 0},
+  core::MdpDataPlane dp{eq, pool, {.num_paths = 3},
                         core::make_scheduler("rss")};
   ctrl::SloMonitor mon{3, sim_loop_cfg().slo_target_ns};
   ctrl::SimPlaneActuator act{eq, dp, mon};

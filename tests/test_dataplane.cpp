@@ -3,6 +3,7 @@
 // redundancy accounting, hedging, failover, pool balance, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/dataplane.hpp"
@@ -31,7 +32,6 @@ struct DpFixture {
   explicit DpFixture(const std::string& policy, std::size_t paths = 4,
                      DataPlaneConfig cfg = {}) {
     cfg.num_paths = paths;
-    cfg.dedup_sweep_interval_ns = 0;  // keep the event queue drainable
     dp = std::make_unique<MdpDataPlane>(eq, pool, cfg,
                                         make_scheduler(policy));
     dp->set_egress([this](net::PacketPtr p) {
@@ -96,7 +96,6 @@ TEST(DataPlane, FunctionalChainAppliesNatRewrite) {
   DataPlaneConfig cfg;
   cfg.num_paths = 2;
   cfg.chain = "fw-nat";
-  cfg.dedup_sweep_interval_ns = 0;
   MdpDataPlane dp(eq, pool, cfg, make_scheduler("jsq"));
   std::uint32_t seen_src = 0;
   dp.set_egress([&](net::PacketPtr p) {
@@ -160,7 +159,6 @@ TEST(DataPlane, FirewallFiltersDarkTraffic) {
   DataPlaneConfig cfg;
   cfg.num_paths = 2;
   cfg.chain = "fw";
-  cfg.dedup_sweep_interval_ns = 0;
   MdpDataPlane dp(eq, pool, cfg, make_scheduler("jsq"));
   std::uint64_t egressed = 0;
   dp.set_egress([&](net::PacketPtr) { ++egressed; });
@@ -198,7 +196,6 @@ TEST(DataPlane, HedgeFiresWhenPathStalls) {
   net::PacketPool pool(512, 2048);
   DataPlaneConfig cfg;
   cfg.num_paths = 2;
-  cfg.dedup_sweep_interval_ns = 0;
   AdaptiveMdpConfig acfg;
   acfg.hedge_timeout_ns = 5'000;  // fixed, aggressive
   MdpDataPlane dp(eq, pool, cfg,
@@ -331,7 +328,6 @@ TEST_P(FailureFlappingFuzz, ExactlyOnceUnderPathFlapping) {
   net::PacketPool pool(4096, 2048);
   DataPlaneConfig cfg;
   cfg.num_paths = 4;
-  cfg.dedup_sweep_interval_ns = 0;
   cfg.seed = GetParam();
   // Strict order is only guaranteed while the resequencer never times out;
   // give it a budget beyond any stall this run can produce. (With the
@@ -428,15 +424,52 @@ TEST(DataPlane, RedundancySurvivesOneCopyQueueDrop) {
   EXPECT_EQ(f.dp->dedup().pending(), 0u);
 }
 
+// Merge state retires on arrival, cancel_copy or end_flow, never by age:
+// a copy that waits in a path queue far longer than any fixed age bound
+// is still delivered, exactly once.
+TEST(DataPlane, SlowQueueStillDeliversEveryPacketOnce) {
+  sim::EventQueue eq;
+  net::PacketPool pool(2048, 2048);
+  DataPlaneConfig cfg;
+  cfg.num_paths = 1;
+  cfg.service_jitter_sigma = 0;
+  cfg.per_byte_ns = 2000;  // ~100 us per frame
+  MdpDataPlane dp(eq, pool, cfg, make_scheduler("single"));
+  std::vector<std::uint64_t> seqs;
+  sim::TimeNs max_wait = 0;
+  dp.set_egress([&](net::PacketPtr p) {
+    seqs.push_back(p->anno().seq);
+    max_wait = std::max(max_wait, p->anno().egress_ns - p->anno().ingress_ns);
+  });
+  constexpr std::uint64_t kPackets = 1000;
+  eq.schedule_at(1, [&] {
+    net::BuildSpec spec;
+    spec.flow = {0x0a010101, 0x0a006401, 1025, 80, 0};
+    for (std::uint64_t i = 0; i < kPackets; ++i) {
+      auto pkt = net::build_udp(pool, spec);
+      pkt->anno().flow_id = 1;
+      dp.ingress(std::move(pkt));
+    }
+  });
+  eq.run_until(2 * sim::kSecond);
+
+  EXPECT_GT(max_wait, 80 * sim::kMillisecond)
+      << "the last packets must wait well past 60 ms in the queue";
+  ASSERT_EQ(seqs.size(), kPackets);
+  for (std::uint64_t i = 0; i < kPackets; ++i) EXPECT_EQ(seqs[i], i);
+  EXPECT_EQ(dp.dedup().late_drops(), 0u);
+  EXPECT_EQ(dp.dedup().pending(), 0u);
+  eq.clear();
+  EXPECT_EQ(pool.in_use(), 0u);
+}
+
 TEST(DataPlane, CostModelScalesWithChainLength) {
   sim::EventQueue eq;
   net::PacketPool pool(64, 2048);
   DataPlaneConfig short_cfg;
   short_cfg.chain = "ipcheck";
-  short_cfg.dedup_sweep_interval_ns = 0;
   DataPlaneConfig long_cfg;
   long_cfg.chain = "full";
-  long_cfg.dedup_sweep_interval_ns = 0;
   MdpDataPlane a(eq, pool, short_cfg, make_scheduler("jsq"));
   MdpDataPlane b(eq, pool, long_cfg, make_scheduler("jsq"));
   EXPECT_GT(b.chain_cost_ns(), a.chain_cost_ns() * 3);
@@ -453,7 +486,6 @@ TEST_P(ChainPresetConservation, IngressFullyAccounted) {
   DataPlaneConfig cfg;
   cfg.num_paths = 3;
   cfg.chain = GetParam();
-  cfg.dedup_sweep_interval_ns = 0;
   MdpDataPlane dp(eq, pool, cfg, make_scheduler("adaptive"));
   std::uint64_t egressed = 0;
   dp.set_egress([&](net::PacketPtr) { ++egressed; });

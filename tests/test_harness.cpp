@@ -146,7 +146,6 @@ TEST(Harness, TraceCaptureReplayReproducesDataPlaneBehaviour) {
     net::PacketPool pool(2048, 2048);
     core::DataPlaneConfig cfg;
     cfg.num_paths = 4;
-    cfg.dedup_sweep_interval_ns = 0;
     core::MdpDataPlane dp(eq, pool, cfg, core::make_scheduler("adaptive"));
     std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
     dp.set_egress([&](net::PacketPtr p) {

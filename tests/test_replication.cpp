@@ -243,7 +243,6 @@ struct DpFixture {
 
   explicit DpFixture(core::DataPlaneConfig cfg) {
     cfg.num_paths = 4;
-    cfg.dedup_sweep_interval_ns = 0;
     dp = std::make_unique<core::MdpDataPlane>(eq, pool, cfg,
                                               core::make_scheduler("rss"));
     dp->set_egress([this](net::PacketPtr p) {
@@ -355,7 +354,6 @@ TEST(DataPlaneReplication, EndFlowRetiresAllPerFlowStateUnderChurn) {
   core::DataPlaneConfig cfg{};
   cfg.num_paths = 4;
   cfg.functional_chain = false;
-  cfg.dedup_sweep_interval_ns = 0;
   cfg.flow_repl.enabled = true;
   sim::EventQueue eq;
   net::PacketPool pool{1024, 256};

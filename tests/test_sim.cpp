@@ -1,6 +1,6 @@
 // Simulation substrate tests: event queue ordering/determinism, RNG,
-// distributions, the SimCore queueing model, interference duty cycle, and
-// the multi-queue NIC.
+// distributions, the SimCore queueing model and the interference duty
+// cycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,12 +11,10 @@
 #include <utility>
 #include <vector>
 
-#include "net/packet_builder.hpp"
 #include "net/packet_pool.hpp"
 #include "sim/distributions.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/interference.hpp"
-#include "sim/nic.hpp"
 #include "sim/rng.hpp"
 #include "sim/sim_core.hpp"
 
@@ -454,34 +452,6 @@ TEST(Interference, ZeroDutyInjectsNothing) {
   noise.start();
   eq.run_until(kSecond);
   EXPECT_EQ(noise.bursts_injected(), 0u);
-}
-
-TEST(SimNic, RssSteersByFlowHashConsistently) {
-  net::PacketPool pool(64, 2048);
-  SimNic nic(NicConfig{4, 16});
-  net::BuildSpec spec;
-  spec.flow = {0x0a000001, 0x0b000001, 1000, 80, 17};
-  auto p1 = net::build_udp(pool, spec);
-  auto p2 = net::build_udp(pool, spec);
-  std::size_t q1 = nic.rss_queue(*p1);
-  EXPECT_EQ(q1, nic.rss_queue(*p2)) << "same flow must map to same queue";
-  ASSERT_TRUE(nic.rx(std::move(p1)));
-  EXPECT_EQ(nic.queue_depth(q1), 1u);
-  auto out = nic.poll(q1);
-  EXPECT_TRUE(out);
-  EXPECT_FALSE(nic.poll(q1));
-}
-
-TEST(SimNic, TailDropsWhenQueueFull) {
-  net::PacketPool pool(64, 2048);
-  SimNic nic(NicConfig{1, 2});
-  net::BuildSpec spec;
-  spec.flow = {1, 2, 3, 4, 17};
-  ASSERT_TRUE(nic.rx_to(0, net::build_udp(pool, spec)));
-  ASSERT_TRUE(nic.rx_to(0, net::build_udp(pool, spec)));
-  EXPECT_FALSE(nic.rx_to(0, net::build_udp(pool, spec)));
-  EXPECT_EQ(nic.total_drops(), 1u);
-  EXPECT_EQ(nic.total_received(), 2u);
 }
 
 TEST(Determinism, SameSeedSameTrace) {

@@ -54,7 +54,6 @@ TEST_P(WireIdentity, EachFlowLeavesAsOneFlow) {
   DataPlaneConfig cfg;
   cfg.num_paths = kPaths;
   cfg.chain = "fw-nat-lb";
-  cfg.dedup_sweep_interval_ns = 0;
   if (c.flow_replication) {
     cfg.flow_repl.enabled = true;
     cfg.flow_repl.replicas = 2;
@@ -149,7 +148,6 @@ TEST(WireIdentityStateful, RoundRobinTcpIsNeverOutOfState) {
   DataPlaneConfig cfg;
   cfg.num_paths = kPaths;
   cfg.chain = "stateful";
-  cfg.dedup_sweep_interval_ns = 0;
   MdpDataPlane dp(eq, pool, cfg, make_scheduler("rr"));
   std::uint64_t delivered = 0;
   dp.set_egress([&](net::PacketPtr) { ++delivered; });
