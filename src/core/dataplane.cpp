@@ -34,6 +34,7 @@ MdpDataPlane::MdpDataPlane(sim::EventQueue& eq, net::PacketPool& pool,
       monitor_(cfg.num_paths),
       merge_(eq, cfg.reorder,
              [this](net::PacketPtr pkt) { on_egress(std::move(pkt)); }),
+      hedge_lane_(eq.add_lane()),
       rng_(cfg.seed),
       // Unit-mean lognormal: mu = -sigma^2/2.
       jitter_(-cfg.service_jitter_sigma * cfg.service_jitter_sigma / 2,
@@ -132,15 +133,13 @@ void MdpDataPlane::ingress(net::PacketPtr pkt) {
                                        : DpCounter::kReplicas,
                        select_buf_.size() - 1);
 
-  // Hedging: single-copy packets may get a late second copy. The clone is
-  // parked now (the original moves into the path job and becomes
-  // inaccessible) and dispatched only if the timeout fires first.
+  // Hedging: single-copy packets may get a late second copy. The original
+  // is parked by reference in its merge entry and cloned only if the
+  // timer fires first; until its completion runs the chain it stays
+  // exactly as it was at ingress.
   if (select_buf_.size() == 1 && granularity_allows_hedge(granularity_)) {
     sim::TimeNs timeout = scheduler_->hedge_timeout_ns(*pkt, *this);
-    if (timeout > 0) {
-      net::PacketPtr clone = pool_.clone(*pkt);
-      if (clone) arm_hedge(select_buf_[0], timeout, std::move(clone));
-    }
+    if (timeout > 0) arm_hedge(select_buf_[0], timeout, *pkt);
   }
 
   // Dispatch copies: clones first (the original is consumed last).
@@ -238,11 +237,6 @@ void MdpDataPlane::on_path_complete(std::uint16_t path, net::PacketPtr pkt) {
   }
 #endif
 
-  // First completion cancels any parked hedge copy.
-  if (auto it = hedge_parked_.find(Deduplicator::key(a.flow_id, a.seq));
-      it != hedge_parked_.end())
-    hedge_parked_.erase(it);
-
   // A duplicate copy comes back and recycles here.
   if (merge_.receive(std::move(pkt)))
     fast_counters_.inc(DpCounter::kDupDropped);
@@ -262,18 +256,21 @@ void MdpDataPlane::on_egress(net::PacketPtr pkt) {
 }
 
 void MdpDataPlane::arm_hedge(std::uint16_t original_path, sim::TimeNs timeout,
-                             net::PacketPtr clone) {
-  auto& a = clone->anno();
-  a.hedged = true;
-  a.is_replica = true;
-  a.copy_index = 1;
-  const std::uint64_t key = Deduplicator::key(a.flow_id, a.seq);
-  hedge_parked_.emplace(key, std::move(clone));
-  eq_.schedule_in(timeout, [this, key, original_path] {
-    auto it = hedge_parked_.find(key);
-    if (it == hedge_parked_.end()) return;  // original completed in time
-    net::PacketPtr copy = std::move(it->second);
-    hedge_parked_.erase(it);
+                             net::Packet& original) {
+  const std::uint32_t flow = original.anno().flow_id;
+  const std::uint64_t seq = original.anno().seq;
+  merge_.park_hedge(flow, seq, &original);
+  eq_.schedule_in(hedge_lane_, timeout, [this, flow, seq, original_path] {
+    // Null once the merge entry retired: the original arrived, was
+    // dropped or filtered, or its flow ended.
+    net::Packet* parked = merge_.take_hedge(flow, seq);
+    if (!parked) return;
+    net::PacketPtr copy = pool_.clone(*parked);
+    if (!copy) return;
+    auto& a = copy->anno();
+    a.hedged = true;
+    a.is_replica = true;
+    a.copy_index = 1;
     // Best alternate: least-backlogged up path that is not the original.
     PathVec two;
     k_least_backlog_paths(*this, 2, two);
@@ -284,7 +281,7 @@ void MdpDataPlane::arm_hedge(std::uint16_t original_path, sim::TimeNs timeout,
         break;
       }
     }
-    merge_.add_copy(copy->anno().flow_id, copy->anno().seq);
+    merge_.add_copy(flow, seq);
     fast_counters_.inc(DpCounter::kHedges);
     extra_copy_bytes_ += copy->length();
     dispatch(alt, std::move(copy));

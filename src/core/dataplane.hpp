@@ -21,6 +21,12 @@
 // entries, resequencing window, sequence counter); per-flow NF state
 // (NAT, LB, conntrack) follows the NF tables' own expiry.
 //
+// A single-copy packet may be hedged: its merge entry holds a borrowed
+// pointer to the queued original, which is cloned onto another path only
+// if the hedge deadline passes first. Until its completion runs the chain
+// the original is unchanged, and whatever retires the merge entry
+// (arrival, drop, filter, end_flow) disarms the hedge.
+//
 // Interference is attached from outside (see sim::InterferenceModel) onto
 // any subset of the path cores — that is the "noisy neighbor" of the
 // experiments.
@@ -131,8 +137,9 @@ class MdpDataPlane final : public PathContext {
   /// would restart at 0 (RpcWorkload allocates ids in increasing order).
   void end_flow(std::uint32_t flow_id) {
     if (replicator_) replicator_->erase(flow_id);
-    merge_.end_flow(flow_id);
-    next_seq_.erase(flow_id);
+    auto it = next_seq_.find(flow_id);
+    merge_.end_flow(flow_id, it != next_seq_.end() ? it->second : 0);
+    if (it != next_seq_.end()) next_seq_.erase(it);
   }
 
   // --- PathContext (the scheduler's view) -----------------------------------
@@ -219,7 +226,7 @@ class MdpDataPlane final : public PathContext {
   void on_path_complete(std::uint16_t path, net::PacketPtr pkt);
   void on_egress(net::PacketPtr pkt);
   void arm_hedge(std::uint16_t original_path, sim::TimeNs timeout,
-                 net::PacketPtr clone);
+                 net::Packet& original);
   sim::TimeNs service_time(const net::Packet& pkt);
 
   sim::EventQueue& eq_;
@@ -230,6 +237,8 @@ class MdpDataPlane final : public PathContext {
   std::vector<Path> paths_;
   PathMonitor monitor_;
   Merge merge_;
+  // Hedge deadlines: a fixed timeout puts them in arming order.
+  sim::EventQueue::Lane hedge_lane_;
   std::unique_ptr<FlowReplicator> replicator_;
   Granularity granularity_ = Granularity::kPacketHedge;
   Egress egress_;
@@ -239,9 +248,6 @@ class MdpDataPlane final : public PathContext {
   stats::EnumCounters<DpCounter> fast_counters_;
   trace::Tracer* tracer_ = nullptr;
   std::unordered_map<std::uint32_t, std::uint64_t> next_seq_;
-  // Hedge copies parked until the timeout decides their fate, keyed by
-  // Deduplicator::key(flow, seq).
-  std::unordered_map<std::uint64_t, net::PacketPtr> hedge_parked_;
   std::uint64_t ingress_count_ = 0;
   std::uint64_t egress_count_ = 0;
   std::uint64_t ingress_bytes_ = 0;

@@ -31,6 +31,19 @@ class Merge {
   void add_copy(std::uint32_t flow, std::uint64_t seq) {
     dedup_.add_expected(Deduplicator::key(flow, seq));
   }
+  /// Arm a hedge on (flow, seq): `original` is the queued copy, borrowed
+  /// (not owned) until take_hedge() or until the entry retires (arrival,
+  /// cancel_copy, end_flow, sweep), whichever comes first. The caller must
+  /// keep `original` alive and unmodified until then.
+  void park_hedge(std::uint32_t flow, std::uint64_t seq,
+                  net::Packet* original) {
+    dedup_.park(Deduplicator::key(flow, seq), original);
+  }
+  /// The hedge's timer fired: the still-queued original to clone, or null
+  /// if the hedge was disarmed meanwhile (its entry retired).
+  net::Packet* take_hedge(std::uint32_t flow, std::uint64_t seq) {
+    return dedup_.take(Deduplicator::key(flow, seq));
+  }
   /// A copy will never arrive (chain filter, queue drop, pool exhaustion).
   void cancel_copy(std::uint32_t flow, std::uint64_t seq) {
     dedup_.cancel_one(Deduplicator::key(flow, seq));
@@ -56,12 +69,13 @@ class Merge {
   std::size_t sweep(sim::TimeNs max_age) {
     return dedup_.sweep(eq_.now(), max_age);
   }
-  /// Flow completed: retire its dedup entries and its resequencing window
+  /// Flow completed: retire its dedup entries (every seq below `seq_end`,
+  /// the flow's next sequence number) and its resequencing window
   /// (deferred while the resequencer is emitting, so this may be called
   /// from the emit callback). Copies still in flight become late drops.
   /// The flow id must not be reused afterwards.
-  void end_flow(std::uint32_t flow_id) {
-    dedup_.release_flow(flow_id);
+  void end_flow(std::uint32_t flow_id, std::uint64_t seq_end) {
+    dedup_.release_flow(flow_id, seq_end);
     reorder_.end_flow(flow_id);
   }
   /// Release everything held for resequencing now (path down, teardown).

@@ -19,9 +19,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/fifo_ring.hpp"
 #include "sim/unique_function.hpp"
 
 namespace mdp::sim {
@@ -90,47 +90,6 @@ class SimCore {
     bool visible = true;
   };
 
-  // Waiting jobs: FIFO, with push_front for high-priority ones. A
-  // power-of-two ring that doubles when full, so a steady queue never
-  // allocates (a std::deque allocates a node every few jobs).
-  class JobRing {
-   public:
-    bool empty() const noexcept { return size_ == 0; }
-    std::size_t size() const noexcept { return size_; }
-    Job& front() noexcept { return slots_[head_]; }
-    void pop_front() noexcept {
-      slots_[head_].done = nullptr;
-      head_ = (head_ + 1) & mask();
-      --size_;
-    }
-    void push_back(Job&& job) {
-      grow_if_full();
-      slots_[(head_ + size_) & mask()] = std::move(job);
-      ++size_;
-    }
-    void push_front(Job&& job) {
-      grow_if_full();
-      head_ = (head_ - 1) & mask();
-      slots_[head_] = std::move(job);
-      ++size_;
-    }
-
-   private:
-    std::size_t mask() const noexcept { return slots_.size() - 1; }
-    void grow_if_full() {
-      if (size_ < slots_.size()) return;
-      std::vector<Job> bigger(slots_.empty() ? 16 : slots_.size() * 2);
-      for (std::size_t i = 0; i < size_; ++i)
-        bigger[i] = std::move(slots_[(head_ + i) & mask()]);
-      slots_ = std::move(bigger);
-      head_ = 0;
-    }
-
-    std::vector<Job> slots_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-  };
-
   TimeNs in_service_remaining() const noexcept {
     return (busy_ && in_service_until_ > eq_.now())
                ? in_service_until_ - eq_.now()
@@ -167,7 +126,7 @@ class SimCore {
 
   EventQueue& eq_;
   std::string name_;
-  JobRing queue_;
+  FifoRing<Job> queue_;  // waiting jobs; high-priority ones pushed in front
   Done in_service_done_;
   bool busy_ = false;
   bool in_service_theft_ = false;

@@ -13,7 +13,8 @@ RpcWorkload::RpcWorkload(sim::EventQueue& eq, net::PacketPool& pool,
       flow_sizes_(std::move(flow_sizes)),
       sink_(std::move(sink)),
       rng_(cfg.seed),
-      interarrival_(cfg.mean_interarrival_ns) {}
+      interarrival_(cfg.mean_interarrival_ns),
+      pacing_lane_(eq.add_lane()) {}
 
 void RpcWorkload::start(std::uint64_t num_flows) {
   remaining_ = num_flows;
@@ -82,7 +83,7 @@ void RpcWorkload::emit_packet(std::uint32_t flow_id, std::uint32_t pkt_idx) {
   }
   std::uint32_t next = pkt_idx + 1;
   if (next < packets_expected) {
-    eq_.schedule_in(cfg_.pacing_gap_ns,
+    eq_.schedule_in(pacing_lane_, cfg_.pacing_gap_ns,
                     [this, flow_id, next] { emit_packet(flow_id, next); });
   }
 }

@@ -81,6 +81,8 @@ class RpcWorkload {
   FlowDone flow_done_;
   sim::Rng rng_;
   sim::Exponential interarrival_;
+  // Next-packet timers: one fixed gap puts them in arming order.
+  sim::EventQueue::Lane pacing_lane_;
   std::unordered_map<std::uint32_t, FlowState> flows_;
   std::uint64_t remaining_ = 0;
   std::uint64_t flows_started_ = 0;

@@ -90,7 +90,7 @@ inline MergeRun run_merge_stream(const MergeStreamConfig& c, bool bursts) {
       out.egress.emplace_back((std::uint64_t{a.flow_id} << 32) | a.seq,
                               eq.now());
       if (c.end_flows && a.seq + 1 == c.packets_per_flow)
-        mp->end_flow(a.flow_id);
+        mp->end_flow(a.flow_id, c.packets_per_flow);
     });
     mp = &merge;
 

@@ -1,13 +1,18 @@
 // Deduplicator tests: exactly-once acceptance, expected-count accounting,
-// hedge increments, cancellation, and the age sweep; core::Merge's burst
-// receive against its per-packet receive.
+// hedge increments and parking, cancellation, and the age sweep; the flat
+// table against a map-based reference model; core::Merge's burst receive
+// against its per-packet receive.
 #include <gtest/gtest.h>
 
 #include "core/dedup.hpp"
 #include "merge_stream.hpp"
 #include "sim/rng.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace mdp::core {
@@ -75,15 +80,15 @@ TEST(Dedup, ReleaseFlowMatchesAll32FlowIdBits) {
     d.expect(Deduplicator::key(kB, seq), 2, 0);
   }
   d.expect(Deduplicator::key(0xffffffff, 0), 1, 0);
-  EXPECT_EQ(d.release_flow(kA), 4u) << "exactly flow A's entries";
+  EXPECT_EQ(d.release_flow(kA, 4), 4u) << "exactly flow A's entries";
   EXPECT_EQ(d.pending(), 5u);
   for (std::uint64_t seq = 0; seq < 4; ++seq) {
     EXPECT_FALSE(d.completed(Deduplicator::key(kB, seq)))
         << "flow B's entries stay pending";
     EXPECT_TRUE(d.accept(Deduplicator::key(kB, seq)));
   }
-  EXPECT_EQ(d.release_flow(0xffffffff), 1u);
-  EXPECT_EQ(d.release_flow(kA), 0u);
+  EXPECT_EQ(d.release_flow(0xffffffff, 1), 1u);
+  EXPECT_EQ(d.release_flow(kA, 4), 0u);
 }
 
 TEST(Dedup, AddExpectedExtendsLifetime) {
@@ -160,6 +165,178 @@ TEST(Dedup, RandomizedExactlyOnceProperty) {
   EXPECT_EQ(d.pending(), 0u);
 }
 
+
+TEST(Dedup, ParkedHedgeIsTakenOnceAndDisarmedByRetirement) {
+  Deduplicator d;
+  auto* original = reinterpret_cast<net::Packet*>(std::uintptr_t{64});
+  const auto k = Deduplicator::key(9, 0);
+  d.park(k, original);
+  EXPECT_EQ(d.take(k), nullptr) << "nothing to park on";
+  d.expect(k, 1, 0);
+  d.park(k, original);
+  EXPECT_EQ(d.take(k), original);
+  EXPECT_EQ(d.take(k), nullptr) << "a hedge fires once";
+
+  // Every way an entry retires disarms its hedge.
+  for (int how = 0; how < 3; ++how) {
+    SCOPED_TRACE(how);
+    const auto r = Deduplicator::key(10, static_cast<std::uint64_t>(how));
+    d.expect(r, 1, 0);
+    d.park(r, original);
+    if (how == 0) d.accept(r);
+    if (how == 1) d.cancel_one(r);
+    if (how == 2) d.release_flow(10, 3);
+    EXPECT_EQ(d.take(r), nullptr);
+  }
+  EXPECT_EQ(d.pending(), 1u) << "only (9, 0) is still pending";
+}
+
+// Reference model: the map-based table the flat one replaced, with the
+// same verdicts and counters by construction.
+class MapDedup {
+ public:
+  void expect(std::uint64_t k, std::uint8_t copies, sim::TimeNs now) {
+    m_.emplace(k, E{copies, 0, now, nullptr});
+  }
+  void add_expected(std::uint64_t k) {
+    if (auto it = m_.find(k); it != m_.end()) ++it->second.expected;
+  }
+  bool accept(std::uint64_t k) {
+    auto it = m_.find(k);
+    if (it == m_.end()) {
+      ++late_drops;
+      return false;
+    }
+    const bool first = it->second.seen++ == 0;
+    if (!first) ++dup_drops;
+    if (it->second.seen >= it->second.expected) m_.erase(it);
+    return first;
+  }
+  void cancel_one(std::uint64_t k) {
+    auto it = m_.find(k);
+    if (it == m_.end()) return;
+    if (it->second.expected > 0) --it->second.expected;
+    if (it->second.seen >= it->second.expected) m_.erase(it);
+  }
+  bool completed(std::uint64_t k) const {
+    auto it = m_.find(k);
+    return it == m_.end() || it->second.seen > 0;
+  }
+  void park(std::uint64_t k, net::Packet* p) {
+    if (auto it = m_.find(k); it != m_.end()) it->second.parked = p;
+  }
+  net::Packet* take(std::uint64_t k) {
+    auto it = m_.find(k);
+    if (it == m_.end()) return nullptr;
+    return std::exchange(it->second.parked, nullptr);
+  }
+  std::size_t sweep(sim::TimeNs now, sim::TimeNs max_age) {
+    return std::erase_if(m_, [&](const auto& kv) {
+      return now - kv.second.created_ns > max_age;
+    });
+  }
+  std::size_t release_flow(std::uint32_t flow, std::uint64_t seq_end) {
+    return std::erase_if(m_, [&](const auto& kv) {
+      return static_cast<std::uint32_t>(kv.first >> 32) == flow &&
+             (kv.first & 0xffffffffu) < seq_end;
+    });
+  }
+  std::size_t pending() const { return m_.size(); }
+  std::uint64_t dup_drops = 0, late_drops = 0;
+
+ private:
+  struct E {
+    std::uint8_t expected, seen;
+    sim::TimeNs created_ns;
+    net::Packet* parked;
+  };
+  std::unordered_map<std::uint64_t, E> m_;
+};
+
+TEST(DedupDifferential, FlatTableMatchesMapModel) {
+  // 100k random operations per seed over every Deduplicator call, on
+  // full 32-bit flow ids (0 and 0xffffffff included) and enough keys that
+  // the table doubles many times past its initial size.
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    std::vector<std::uint32_t> flows = {0, 0xffffffffu, 0x01000005,
+                                        0x02000005};
+    while (flows.size() < 48)
+      flows.push_back(static_cast<std::uint32_t>(rng.next_u64()));
+    Deduplicator d;
+    MapDedup ref;
+    sim::TimeNs now = 0;
+    std::size_t peak = 0;
+    std::uint64_t takes = 0, released = 0, swept = 0;
+    // Most operations name a recently registered key, so they hit live
+    // entries; the rest draw any key, mostly unknown ones.
+    std::vector<std::uint64_t> recent;
+    const auto pick_key = [&] {
+      if (!recent.empty() && rng.bernoulli(0.7))
+        return recent[rng.uniform_u64(recent.size())];
+      return Deduplicator::key(flows[rng.uniform_u64(flows.size())],
+                               rng.uniform_u64(512));
+    };
+    for (int op = 0; op < 100'000; ++op) {
+      now += static_cast<sim::TimeNs>(rng.uniform_u64(20));
+      const std::uint64_t k = pick_key();
+      const std::uint64_t r = rng.uniform_u64(100);
+      if (r < 40) {
+        if (recent.size() < 4096)
+          recent.push_back(k);
+        else
+          recent[rng.uniform_u64(recent.size())] = k;
+        const auto copies = static_cast<std::uint8_t>(rng.uniform_u64(4));
+        d.expect(k, copies, now);
+        ref.expect(k, copies, now);
+      } else if (r < 62) {
+        ASSERT_EQ(d.accept(k), ref.accept(k)) << op;
+      } else if (r < 72) {
+        d.cancel_one(k);
+        ref.cancel_one(k);
+      } else if (r < 77) {
+        d.add_expected(k);
+        ref.add_expected(k);
+      } else if (r < 82) {
+        ASSERT_EQ(d.completed(k), ref.completed(k)) << op;
+      } else if (r < 89) {
+        auto* p = reinterpret_cast<net::Packet*>(
+            static_cast<std::uintptr_t>(op + 1) * 64);
+        d.park(k, p);
+        ref.park(k, p);
+      } else if (r < 96) {
+        net::Packet* p = d.take(k);
+        ASSERT_EQ(p, ref.take(k)) << op;
+        takes += p != nullptr;
+      } else if (r < 99) {
+        const auto flow = static_cast<std::uint32_t>(k >> 32);
+        const std::uint64_t end = rng.uniform_u64(600);
+        const std::size_t n = d.release_flow(flow, end);
+        ASSERT_EQ(n, ref.release_flow(flow, end)) << op;
+        released += n;
+      } else {
+        const auto age = static_cast<sim::TimeNs>(rng.uniform_u64(200'000));
+        const std::size_t n = d.sweep(now, age);
+        ASSERT_EQ(n, ref.sweep(now, age)) << op;
+        swept += n;
+      }
+      ASSERT_EQ(d.pending(), ref.pending()) << op;
+      peak = std::max(peak, d.pending());
+    }
+    EXPECT_EQ(d.dup_drops(), ref.dup_drops);
+    EXPECT_EQ(d.late_drops(), ref.late_drops);
+    EXPECT_EQ(d.swept(), swept);
+    // The mix really exercised growth (the 64 initial slots double at
+    // least four times) and every retirement path.
+    EXPECT_GT(peak, 512u);
+    EXPECT_GT(d.dup_drops(), 0u);
+    EXPECT_GT(d.late_drops(), 0u);
+    EXPECT_GT(takes, 0u);
+    EXPECT_GT(released, 0u);
+    EXPECT_GT(swept, 0u);
+  }
+}
 
 TEST(Dedup, LateDuplicateAfterFlushAllIsReleasedNotLeaked) {
   // Regression: a path-down flush_all() releases a flow's buffered

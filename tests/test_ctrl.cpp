@@ -1185,22 +1185,50 @@ class RigActuator : public ctrl::ThreadedPlaneActuator {
   io::LoopbackBackend& driver_end_;
 };
 
+/// The plane's end of the loopback wire, stamping every frame it transmits
+/// with the wire tick it leaves on (anno().egress_ns). The driver reads the
+/// lag of an echo as wire ticks from that stamp to its own rx: the unit the
+/// path fault is set in, which no thread scheduling can stretch.
+class TickStampedWire final : public io::PacketBackend {
+ public:
+  explicit TickStampedWire(io::LoopbackBackend& wire) : wire_(wire) {}
+
+  const io::BackendCaps& caps() const noexcept override {
+    return wire_.caps();
+  }
+  bool start(std::string* err) override { return wire_.start(err); }
+  void stop() override { wire_.stop(); }
+  std::size_t rx_burst(std::span<net::PacketPtr> out) override {
+    return wire_.rx_burst(out);
+  }
+  std::size_t tx_burst(std::span<net::PacketPtr> pkts) override {
+    for (net::PacketPtr& p : pkts)
+      if (p) p->anno().egress_ns = wire_.tick();
+    return wire_.tx_burst(pkts);
+  }
+
+ private:
+  io::LoopbackBackend& wire_;
+};
+
 TEST(ControllerEndToEnd, QuarantineDrainReinstateOverLoopback) {
   constexpr std::size_t kPaths = 2;
   constexpr std::uint32_t kFlows = 4;
   constexpr int kSeqsPerRound = 4;  // 16 frames per round
   constexpr std::uint32_t kDelayTicks = 400;
-  // Lag is measured in driver loop iterations scaled by 1000 — a logical
-  // unit, so the quarantine trajectory is deterministic under any thread
-  // scheduling. Healthy echoes come back within a handful of iterations;
-  // delayed ones need >= kDelayTicks/2 wire releases (the wire also ticks
-  // on pump's tx_burst), putting them far above the target either way.
+  // Lag is measured in wire ticks from the plane's tx to the driver's rx,
+  // scaled by 1000 — a logical unit, so the quarantine trajectory is
+  // deterministic under any thread scheduling (a descheduled plane worker
+  // delays when a frame is sent, not how long it spends on the wire).
+  // Healthy echoes come back within a tick; delayed ones need kDelayTicks,
+  // far above the target.
   constexpr std::uint64_t kSloUnits = 100'000;
 
   net::PacketPool pool(512, 2048, /*allow_growth=*/false);
   io::LoopbackConfig lcfg;
   lcfg.queue_depth = 1024;
   auto [driver_end, plane_end] = io::LoopbackBackend::make_pair(lcfg);
+  TickStampedWire plane_wire(*plane_end);
 
   core::ThreadedConfig tcfg;
   tcfg.num_paths = kPaths;
@@ -1210,7 +1238,7 @@ TEST(ControllerEndToEnd, QuarantineDrainReinstateOverLoopback) {
   tcfg.payload_bytes = 64;
   tcfg.work_iterations = 1;
   tcfg.burst_size = 16;
-  tcfg.backend = plane_end.get();
+  tcfg.backend = &plane_wire;
 
   core::ThreadedDataPlane dp(tcfg, [](std::uint64_t, std::uint16_t) {});
 
@@ -1279,8 +1307,8 @@ TEST(ControllerEndToEnd, QuarantineDrainReinstateOverLoopback) {
       std::size_t got;
       while ((got = driver_end->rx_burst({rx, 64})) > 0) {
         for (std::size_t i = 0; i < got; ++i) {
-          mon.observe(rx[i]->anno().path_id,
-                      static_cast<std::uint64_t>(iters) * 1000);
+          const auto& a = rx[i]->anno();
+          mon.observe(a.path_id, (plane_end->tick() - a.egress_ns) * 1000);
           reorder.submit(std::move(rx[i]));
           --outstanding;
         }

@@ -228,6 +228,60 @@ TEST(DataPlane, HedgeFiresWhenPathStalls) {
   EXPECT_GE(dp.monitor().completed(1), 1u);
 }
 
+// A hedge is disarmed when its merge entry retires, so it never fires
+// for a packet the merge already settled. Each case below retires the
+// entry while the hedge timer (rss:50000, 50 us) is still pending.
+TEST(DataPlane, HedgeDisarmedWhenChainFiltersTheOriginal) {
+  DataPlaneConfig cfg;
+  cfg.chain = "fw";
+  DpFixture f("rss:50000", 2, cfg);
+  f.send(1, 100, net::TrafficClass::kBestEffort,
+         0x7f000001);  // 127.0.0.1: denied by the preset rules
+  f.eq.run();
+  const auto c = f.dp->counters();
+  EXPECT_EQ(c.get("chain_filtered"), 1u) << "only the original is filtered";
+  EXPECT_EQ(c.get("hedges"), 0u) << "a hedge fired for a filtered packet";
+  EXPECT_EQ(f.egressed.size(), 0u);
+  EXPECT_EQ(f.dp->dedup().pending(), 0u);
+  EXPECT_EQ(f.pool.in_use(), 0u);
+}
+
+TEST(DataPlane, HedgeDisarmedWhenTheOriginalIsTailDropped) {
+  DataPlaneConfig cfg;
+  cfg.path_queue_capacity = 1;
+  DpFixture f("rss:50000", 2, cfg);
+  // Both paths full: one job in service, one queued; both idle by 40 us.
+  for (std::size_t p = 0; p < 2; ++p)
+    for (int j = 0; j < 2; ++j) f.dp->core(p).submit(20'000, [](sim::TimeNs) {});
+  f.send(1, 100);
+  f.eq.run();
+  const auto c = f.dp->counters();
+  EXPECT_EQ(c.get("queue_drops"), 1u);
+  EXPECT_EQ(c.get("hedges"), 0u) << "a hedge fired for a dropped packet";
+  EXPECT_EQ(f.dp->dedup().late_drops(), 0u);
+  EXPECT_EQ(f.egressed.size(), 0u);
+  EXPECT_EQ(f.dp->dedup().pending(), 0u);
+  EXPECT_EQ(f.pool.in_use(), 0u);
+}
+
+TEST(DataPlane, HedgeDisarmedWhenItsFlowEnds) {
+  DpFixture f("rss:50000", 2);
+  // Both paths stalled for 1 ms (invisible theft): the original is still
+  // queued when its flow ends at 1 us.
+  for (std::size_t p = 0; p < 2; ++p)
+    f.dp->core(p).submit(1'000'000, [](sim::TimeNs) {}, true,
+                         /*visible=*/false);
+  f.send(1, 100);
+  f.eq.schedule_at(1'000, [&] { f.dp->end_flow(1); });
+  f.eq.run();
+  EXPECT_EQ(f.dp->counters().get("hedges"), 0u)
+      << "a hedge fired for an ended flow";
+  EXPECT_EQ(f.dp->dedup().late_drops(), 1u) << "the original, after the end";
+  EXPECT_EQ(f.egressed.size(), 0u);
+  EXPECT_EQ(f.dp->dedup().pending(), 0u);
+  EXPECT_EQ(f.pool.in_use(), 0u);
+}
+
 TEST(DataPlane, LcPriorityJumpsQueueUnderCongestion) {
   auto run = [](bool prio) {
     DataPlaneConfig cfg;

@@ -215,7 +215,7 @@ TEST(MergeFlowCopies, EndFlowRetiresInFlightCopies) {
   EXPECT_EQ(merge.dedup().pending(), 3u);
   // Flow 3 completes with copies still in flight: its dedup entries and
   // its window retire (the held seq 2 leaves now); flow 4's survive.
-  merge.end_flow(3);
+  merge.end_flow(3, 3);
   EXPECT_EQ(merge.dedup().pending(), 1u);
   EXPECT_EQ(merge.reorder().buffered(), 0u);
   EXPECT_EQ(merge.reorder().tracked_flows(), 0u);

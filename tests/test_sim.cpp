@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <new>
 #include <utility>
@@ -150,6 +151,88 @@ TEST(EventQueue, TieOrderHoldsAcrossSlotReuse) {
   std::vector<std::pair<TimeNs, std::uint64_t>> expected = scheduled;
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(fired, expected);
+}
+
+TEST(EventQueue, LaneAndHeapTiesRunInScheduleOrder) {
+  EventQueue eq;
+  const EventQueue::Lane lane = eq.add_lane();
+  std::vector<int> order;
+  eq.schedule_at(lane, 100, [&] { order.push_back(0); });
+  eq.schedule_at(100, [&] { order.push_back(1); });
+  eq.schedule_at(lane, 100, [&] { order.push_back(2); });
+  eq.schedule_at(lane, 50, [&] { order.push_back(3); });  // before the tail
+  eq.schedule_at(lane, 200, [&] { order.push_back(4); });
+  eq.schedule_at(150, [&] { order.push_back(5); });
+  EXPECT_EQ(eq.size(), 6u);
+  eq.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 0, 1, 2, 5, 4}));
+  EXPECT_EQ(eq.events_processed(), 6u);
+  EXPECT_TRUE(eq.empty());
+}
+
+// One seeded program of schedules, callbacks that schedule more events,
+// run_until boundaries and clear(), run either through three lanes (a
+// fixed-delay lane of 400 ns, one of 1000 ns, one of 0 ns for same-ns ties)
+// or through schedule_at alone. Lane schedules also get random and past
+// deadlines, which are often earlier than the lane's tail. Returns what
+// ran, when, and the queue's size and count at every boundary.
+std::vector<std::uint64_t> run_lane_program(std::uint64_t seed,
+                                            bool use_lanes) {
+  constexpr TimeNs kLaneDelay[3] = {400, 1000, 0};
+  EventQueue eq;
+  Rng rng(seed);
+  std::vector<EventQueue::Lane> lanes;
+  if (use_lanes)
+    for (int i = 0; i < 3; ++i) lanes.push_back(eq.add_lane());
+  std::vector<std::uint64_t> trace;
+  std::uint64_t next_id = 0;
+  std::function<void(int)> schedule = [&](int depth) {
+    const std::uint64_t id = next_id++;
+    const std::size_t lane = rng.uniform_u64(4);  // 3: the heap
+    const std::uint64_t r = rng.uniform_u64(10);
+    TimeNs at = eq.now();  // r == 8: a same-ns tie
+    if (lane < 3 && r < 6)
+      at += kLaneDelay[lane];
+    else if (r < 8)
+      at += rng.uniform_u64(500);
+    else if (r == 9)
+      at -= std::min<TimeNs>(at, rng.uniform_u64(50));  // clamped to now
+    auto cb = [&trace, &eq, &rng, &schedule, id, depth] {
+      trace.push_back(id);
+      trace.push_back(eq.now());
+      if (depth < 3)
+        for (std::uint64_t n = rng.uniform_u64(3); n > 0; --n)
+          schedule(depth + 1);
+    };
+    if (use_lanes && lane < 3)
+      eq.schedule_at(lanes[lane], at, std::move(cb));
+    else
+      eq.schedule_at(at, std::move(cb));
+  };
+  for (int round = 0; round < 2'000; ++round) {
+    for (std::uint64_t n = rng.uniform_u64(8); n > 0; --n) schedule(0);
+    eq.run_until(eq.now() + rng.uniform_u64(800));
+    trace.push_back(eq.size());
+    trace.push_back(eq.events_processed());
+    trace.push_back(eq.now());
+    if (rng.uniform_u64(64) == 0) {
+      eq.clear();
+      trace.push_back(eq.size());
+    }
+  }
+  eq.run();
+  trace.push_back(eq.events_processed());
+  return trace;
+}
+
+TEST(EventQueue, LanesRunExactlyTheHeapOnlyOrder) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    const auto heap_only = run_lane_program(seed, false);
+    const auto laned = run_lane_program(seed, true);
+    EXPECT_GT(heap_only.size(), 50'000u);
+    EXPECT_EQ(laned, heap_only);
+  }
 }
 
 TEST(EventQueue, ClearReleasesCapturedPackets) {
