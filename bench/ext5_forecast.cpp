@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
       prehedge_tick = d.tick;
       saw_prehedge = true;
     }
-    if (!saw_quarantine && d.path < ctrl::Decision::kGranularity &&
+    if (!saw_quarantine && d.path < ctrl::Decision::kTenant &&
         d.to == ctrl::PathState::kQuarantined) {
       quarantine_tick = d.tick;
       saw_quarantine = true;

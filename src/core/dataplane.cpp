@@ -42,10 +42,8 @@ MdpDataPlane::MdpDataPlane(sim::EventQueue& eq, net::PacketPool& pool,
   if (cfg_.num_paths == 0) throw std::invalid_argument("num_paths == 0");
   if (!scheduler_) throw std::invalid_argument("null scheduler");
 
-  if (cfg_.flow_repl.enabled) {
+  if (cfg_.flow_repl.enabled)
     replicator_ = std::make_unique<FlowReplicator>(cfg_.flow_repl);
-    granularity_ = Granularity::kBoth;
-  }
 
   nf::ChainSpec spec = nf::ChainSpec::preset(cfg_.chain);
   std::string err;
@@ -100,16 +98,12 @@ void MdpDataPlane::ingress(net::PacketPtr pkt) {
   // to its stable disjoint path set and never consult the scheduler.
   bool flow_replicated = false;
   select_buf_.clear();
-  if (replicator_ && granularity_allows_flow_replica(granularity_))
+  if (replicator_)
     flow_replicated = replicator_->route(*pkt, *this, select_buf_);
   if (!flow_replicated) {
     select_buf_.clear();
     scheduler_->select(*pkt, *this, rng_, select_buf_);
     if (select_buf_.empty()) select_buf_.push_back(first_up_path(*this));
-    // kNone means no duplication of any kind: scheduler-driven packet
-    // replication is truncated to the primary copy.
-    if (granularity_ == Granularity::kNone && select_buf_.size() > 1)
-      select_buf_.resize(1);
   }
 
 #if MDP_TRACE_ENABLED
@@ -137,7 +131,7 @@ void MdpDataPlane::ingress(net::PacketPtr pkt) {
   // is parked by reference in its merge entry and cloned only if the
   // timer fires first; until its completion runs the chain it stays
   // exactly as it was at ingress.
-  if (select_buf_.size() == 1 && granularity_allows_hedge(granularity_)) {
+  if (select_buf_.size() == 1) {
     sim::TimeNs timeout = scheduler_->hedge_timeout_ns(*pkt, *this);
     if (timeout > 0) arm_hedge(select_buf_[0], timeout, *pkt);
   }
@@ -201,10 +195,6 @@ void MdpDataPlane::dispatch(std::uint16_t path, net::PacketPtr pkt) {
 #else
         (void)done_at;
 #endif
-        if (!cfg_.functional_chain) {
-          on_path_complete(path, std::move(pkt));
-          return;
-        }
         // Push through the real chain replica; PathEgress sets the flag.
         // If the chain filtered the packet (firewall deny, DPI drop), the
         // copy will never reach the merge stage — release its dedup slot.
@@ -335,9 +325,6 @@ void MdpDataPlane::register_stats(trace::StatsRegistry& reg) const {
   reg.add_counter("dp.ingress_bytes", [this] { return ingress_bytes_; });
   reg.add_counter("dp.extra_copy_bytes",
                   [this] { return extra_copy_bytes_; });
-  reg.add_gauge("dp.granularity", [this] {
-    return static_cast<double>(static_cast<std::uint8_t>(granularity_));
-  });
   if (replicator_) {
     reg.add_counter("repl.flows_seen",
                     [this] { return replicator_->flows_seen(); });

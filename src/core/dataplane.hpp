@@ -39,7 +39,6 @@
 
 #include "click/router.hpp"
 #include "core/flow_replicator.hpp"
-#include "core/granularity.hpp"
 #include "core/merge.hpp"
 #include "core/path_monitor.hpp"
 #include "core/scheduler.hpp"
@@ -73,9 +72,6 @@ const char* dp_counter_name(DpCounter c) noexcept;
 struct DataPlaneConfig {
   std::size_t num_paths = 4;
   std::string chain = "fw-nat-lb";  ///< nf::ChainSpec preset name
-  /// Run packets through the real chain elements (functional effects +
-  /// chain drops). When false, only the cost model applies.
-  bool functional_chain = true;
   /// Lognormal sigma on the per-packet service time (0 = deterministic).
   double service_jitter_sigma = 0.25;
   /// Additional service cost per payload byte (models touch cost).
@@ -90,10 +86,10 @@ struct DataPlaneConfig {
   /// up as drops instead of unbounded delay.
   std::size_t path_queue_capacity = 0;
   ReorderConfig reorder{};
-  /// Flow-granularity replication (RepNet). Disabled by default: the
-  /// plane then behaves exactly as before this stage existed. When
-  /// enabled, the plane starts at Granularity::kBoth and the control
-  /// plane's granularity lever (ctrl::Controller) can move it.
+  /// Flow-granularity replication (RepNet), fixed when the plane is
+  /// built. Disabled by default. When enabled, a replicated flow's
+  /// packets travel as flow replicas and every other packet may still be
+  /// hedged.
   FlowReplicatorConfig flow_repl{};
   std::uint64_t seed = 42;
 };
@@ -116,18 +112,6 @@ class MdpDataPlane final : public PathContext {
   sim::SimCore& core(std::size_t path) { return *paths_[path].core; }
   /// Mark a path administratively up/down (failure injection).
   void set_path_up(std::size_t path, bool up) { paths_[path].up = up; }
-
-  /// Control-plane lever: what unit the plane duplicates. Gates both the
-  /// FlowReplicator (flow replicas) and arm_hedge (packet hedges); kNone
-  /// additionally truncates scheduler-driven replication to one copy.
-  /// Turning flow replication off drops every cached flow decision.
-  void set_granularity(Granularity g) {
-    if (g == granularity_) return;
-    granularity_ = g;
-    if (replicator_ && !granularity_allows_flow_replica(g))
-      replicator_->clear();
-  }
-  Granularity granularity() const noexcept { return granularity_; }
 
   /// Flow completed (workload signal): forget its replication decision,
   /// its merge state (dedup entries, resequencing window) and its
@@ -240,7 +224,6 @@ class MdpDataPlane final : public PathContext {
   // Hedge deadlines: a fixed timeout puts them in arming order.
   sim::EventQueue::Lane hedge_lane_;
   std::unique_ptr<FlowReplicator> replicator_;
-  Granularity granularity_ = Granularity::kPacketHedge;
   Egress egress_;
   sim::Rng rng_;
   sim::LogNormal jitter_;

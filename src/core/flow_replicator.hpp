@@ -38,9 +38,6 @@ struct FlowReplicatorConfig {
   bool enabled = false;
   /// Flows at or under this many bytes qualify for replication.
   std::uint32_t size_cutoff_bytes = 30'000;
-  /// Replicate flows of unknown size (flow_bytes == 0) when the first
-  /// packet is marked latency-critical.
-  bool replicate_unknown_lc = true;
   /// Copies per replicated flow (clamped to [2, kMaxReplicaPaths]).
   std::size_t replicas = 2;
   /// Capacity of the per-flow decision table (second-chance eviction
@@ -110,9 +107,6 @@ class FlowReplicator {
   /// Forget a flow (flow completed). Returns true if it was tracked.
   bool erase(std::uint32_t flow_id) { return table_.erase(key_of(flow_id)); }
 
-  /// Drop every cached decision (granularity lever turned off).
-  void clear() { table_.clear(); }
-
   const FlowReplicatorConfig& config() const { return cfg_; }
   std::size_t tracked() const { return table_.size(); }
   std::uint64_t flows_seen() const { return flows_seen_; }
@@ -139,8 +133,7 @@ class FlowReplicator {
 
   bool qualifies_by_size(const net::Annotations& a) const {
     if (a.flow_bytes > 0) return a.flow_bytes <= cfg_.size_cutoff_bytes;
-    return cfg_.replicate_unknown_lc &&
-           a.traffic_class == net::TrafficClass::kLatencyCritical;
+    return a.traffic_class == net::TrafficClass::kLatencyCritical;
   }
 
   void remember(const net::FlowKey& k, std::uint16_t tenant,

@@ -30,8 +30,8 @@
 //
 // This is NOT the experiment vehicle (the discrete-event model is, see
 // MdpDataPlane) — it validates that the data-path building blocks (rings,
-// dispatch, merge, bursting, backend I/O) are genuinely lock-free and fast
-// on real hardware, and feeds Tab 4 / the Ext 2 fastpath burst sweep.
+// dispatch, bursting, backend I/O) are genuinely lock-free and fast on
+// real hardware, and feeds Tab 4 / the Ext 2 fastpath burst sweep.
 #pragma once
 
 #include <atomic>

@@ -61,11 +61,6 @@ class Actuator {
   virtual void set_hedge_timeout(std::uint64_t timeout_ns) {
     (void)timeout_ns;
   }
-
-  /// Replication granularity: what unit the plane duplicates (none /
-  /// packet-hedge / flow-replica / both; ctrl::GranularityController).
-  /// Default no-op — not every plane replicates flows.
-  virtual void set_granularity(core::Granularity g) { (void)g; }
 };
 
 /// Adapter for the threaded plane. Caller-thread only, like pump().
@@ -113,9 +108,6 @@ class SimPlaneActuator : public Actuator {
   void set_hedge_timeout(std::uint64_t timeout_ns) override {
     dp_.scheduler().set_hedge_timeout_ns(
         static_cast<sim::TimeNs>(timeout_ns));
-  }
-  void set_granularity(core::Granularity g) override {
-    dp_.set_granularity(g);
   }
 
   std::uint64_t probes_sent() const noexcept { return probes_sent_; }

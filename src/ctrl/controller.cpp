@@ -13,11 +13,11 @@ std::uint32_t decision_reason_code(const char* reason) noexcept {
       "probe_breach",     "drain_start",      "drained",
       "probation_passed", "hedge_raise",      "hedge_lower",
       "hedge_timeout",    "tenant_throttle",  "tenant_shed",
-      "tenant_probation", "tenant_reinstate", "granularity_shift",
+      "tenant_probation", "tenant_reinstate", nullptr /* 15: reserved */,
       "forecast_prehedge", "forecast_probe",  "forecast_prequarantine",
       "forecast_restore"};
   for (std::uint32_t i = 0; i < std::size(kReasons); ++i)
-    if (std::strcmp(reason, kReasons[i]) == 0) return i + 1;
+    if (kReasons[i] && std::strcmp(reason, kReasons[i]) == 0) return i + 1;
   return 0;
 }
 
@@ -26,8 +26,7 @@ Controller::Controller(Config cfg, Actuator& actuator, SloMonitor& monitor)
       act_(actuator),
       mon_(monitor),
       hedger_(cfg.hedger, cfg.band),
-      hedge_timeout_(cfg.hedge_timeout),
-      gran_(cfg.granularity, cfg.band) {
+      hedge_timeout_(cfg.hedge_timeout) {
   mon_.set_slo_target_ns(cfg_.slo_target_ns);
   paths_.resize(act_.num_paths());
   for (auto& p : paths_) p.fsm = PathStateMachine(cfg_.path);
@@ -80,10 +79,6 @@ void Controller::attach_recorder(telem::FlightRecorder* rec,
 }
 
 void Controller::log_decision(Decision d) {
-  // Every decision records the granularity in force while the lever is
-  // enabled — the log then shows which regime each action happened in.
-  d.granularity = gran_.granularity();
-  d.granularity_logged = cfg_.granularity.enabled;
   if (decisions_.size() >= cfg_.decision_log_capacity) {
     decisions_.erase(decisions_.begin());
     ++decisions_evicted_;
@@ -92,14 +87,14 @@ void Controller::log_decision(Decision d) {
   if (rec_chan_)
     rec_chan_->emit(
         d.now_ns, telem::EventType::kCtrlDecision,
-        d.path < Decision::kGranularity ? d.path : telem::kAllPaths,
+        d.path < Decision::kTenant ? d.path : telem::kAllPaths,
         decision_reason_code(d.reason), d.p99_ns);
   // Quarantine post-mortem: snapshot the merged event timeline as it
   // stood at the moment the path was cut. The dump INCLUDES the
   // kCtrlDecision event just emitted, so the artifact is self-dating.
   // Cutting a TENANT (kShed) is the same severity of action and gets the
   // same artifact.
-  const bool cut_path = d.path < Decision::kGranularity &&
+  const bool cut_path = d.path < Decision::kTenant &&
                         d.to == PathState::kQuarantined;
   const bool cut_tenant = d.path == Decision::kTenant &&
                           d.tenant_to == TenantState::kShed;
@@ -322,27 +317,10 @@ void Controller::tick(std::uint64_t now_ns) {
                                                : "backlog_breach";
       pc.last_dominant_stage = dominant_stage;
       pc.last_dominant_ns = dominant_ns;
-    } else if (in.has_signal) {
-      // First clean window ends the breach episode: refresh the deferral
-      // budget for the next one.
-      pc.service_defers_used = 0;
     }
 
     switch (before) {
       case PathState::kActive:
-        // Stage-aware actuation: a service-dominated SLO breach means the
-        // path's core is slow, not its queue deep — masking just moves
-        // the load while the hedger can rescue the stragglers. Defer the
-        // quarantine for a bounded budget of ticks (counted) and let the
-        // hedge act; backlog evidence always counts immediately.
-        if (in.breach && slo_breach && !backlog_breach &&
-            cfg_.service_defer_ticks > 0 && w.has_stage_evidence() &&
-            w.dominant_stage() == trace::Stage::kService &&
-            pc.service_defers_used < cfg_.service_defer_ticks) {
-          in.breach = false;
-          ++pc.service_defers_used;
-          ++service_deferrals_;
-        }
         // Capacity guard: losing this path would leave fewer than
         // min_serving_paths serving (forecast pre-quarantined paths are
         // already not serving). A contained tail beats a masked fleet;
@@ -555,38 +533,6 @@ void Controller::tick(std::uint64_t now_ns) {
     log_decision(d);
   }
 
-  // The third lever: WHAT gets duplicated. Escalates toward flow
-  // replicas when the sustained pain is service-dominant (RepNet: clone
-  // the short flow away from the stolen core), toward packet hedging
-  // when it is queueing, and steps back to baseline once the tail calms.
-  if (cfg_.granularity.enabled) {
-    if (!gran_actuated_) {
-      act_.set_granularity(gran_.granularity());
-      gran_actuated_ = true;
-    }
-    const core::Granularity g_before = gran_.granularity();
-    const core::Granularity g_after =
-        gran_.update(worst_serving_p99, serving_samples, cfg_.slo_target_ns,
-                     worst_dominant_stage);
-    if (g_after != g_before) {
-      act_.set_granularity(g_after);
-      Decision d;
-      d.tick = tick_;
-      d.now_ns = now_ns;
-      d.path = Decision::kGranularity;
-      d.reason = "granularity_shift";
-      d.gran_from = g_before;
-      d.gran_to = g_after;
-      d.p99_ns = worst_serving_p99;
-      d.samples = serving_samples;
-      d.replicas = hedger_.replicas();
-      d.dominant_stage = worst_dominant_stage;
-      d.dominant_stage_ns = worst_dominant_ns;
-      d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
-      log_decision(d);
-    }
-  }
-
   // Tenant admission stage: harvest each tenant's window, advance its
   // state machine, and mirror transitions into the plane. The judgment is
   // the ARRIVAL contract, not the tenant's latency — under a storm every
@@ -662,7 +608,6 @@ std::string Controller::report_json() const {
   w.key("replicas").value(static_cast<std::uint64_t>(hedger_.replicas()));
   w.key("hedge_timeout_ns").value(hedge_timeout_.timeout_ns());
   w.key("hedge_timeout_adjustments").value(hedge_timeout_.adjustments());
-  w.key("service_deferrals").value(service_deferrals_);
   if (cfg_.forecast.enabled) {
     w.key("forecast_enabled").value(true);
     w.key("forecast_prehedges").value(forecast_prehedges_);
@@ -674,10 +619,6 @@ std::string Controller::report_json() const {
     w.key("forecast_false_positive_fraction")
         .value(forecast_false_positive_fraction());
     w.key("breach_windows").value(breach_windows_);
-  }
-  if (cfg_.granularity.enabled) {
-    w.key("granularity").value(core::granularity_name(gran_.granularity()));
-    w.key("granularity_shifts").value(gran_.shifts());
   }
   w.key("path_states").begin_array();
   for (const auto& p : paths_) w.value(path_state_name(p.fsm.state()));
@@ -711,11 +652,6 @@ std::string Controller::report_json() const {
     w.key("now_ns").value(d.now_ns);
     if (d.path == Decision::kHedge) {
       w.key("target").value("hedger");
-    } else if (d.path == Decision::kGranularity) {
-      w.key("target").value("granularity");
-      w.key("from").value(core::granularity_name(d.gran_from));
-      w.key("to").value(core::granularity_name(d.gran_to));
-      w.key("granularity").value(core::granularity_name(d.gran_to));
     } else if (d.path == Decision::kTenant) {
       w.key("target").value("tenant");
       w.key("tenant").value(static_cast<std::uint64_t>(d.tenant));
@@ -739,8 +675,6 @@ std::string Controller::report_json() const {
     }
     if (d.hedge_timeout_ns != 0)
       w.key("hedge_timeout_ns").value(d.hedge_timeout_ns);
-    if (d.granularity_logged && d.path != Decision::kGranularity)
-      w.key("granularity").value(core::granularity_name(d.granularity));
     if (d.forecast_logged) {
       w.key("forecast").begin_object();
       w.key("horizon_ticks").value(d.fc_horizon_ticks);
@@ -767,8 +701,6 @@ void Controller::register_stats(trace::StatsRegistry& reg) const {
   reg.add_counter("ctrl.hedge_lowers", [this] { return hedger_.lowers(); });
   reg.add_counter("ctrl.hedge_timeout_changes",
                   [this] { return hedge_timeout_.adjustments(); });
-  reg.add_counter("ctrl.service_deferrals",
-                  [this] { return service_deferrals_; });
   if (cfg_.forecast.enabled) {
     reg.add_counter("ctrl.forecast_prehedges",
                     [this] { return forecast_prehedges_; });
@@ -785,12 +717,6 @@ void Controller::register_stats(trace::StatsRegistry& reg) const {
     reg.add_counter("ctrl.breach_windows",
                     [this] { return breach_windows_; });
   }
-  reg.add_counter("ctrl.granularity_shifts",
-                  [this] { return gran_.shifts(); });
-  reg.add_gauge("ctrl.granularity", [this] {
-    return static_cast<double>(
-        static_cast<std::uint8_t>(gran_.granularity()));
-  });
   reg.add_gauge("ctrl.hedge_timeout_ns", [this] {
     return static_cast<double>(hedge_timeout_.timeout_ns());
   });

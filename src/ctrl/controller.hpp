@@ -16,11 +16,9 @@
 //   3. feed the PathStateMachine and actuate its transitions
 //      (mask / flush+drain / probe-only probation / re-enable),
 //   4. run the replication levers on the worst serving-path p99: the
-//      AdaptiveHedger (how many copies) and, when enabled, the
-//      GranularityController (what gets copied). Both judge the same
-//      Config::band (ctrl/hysteresis.hpp) — one raise/lower threshold
-//      pair, one sustain/cooldown/min-samples discipline — each on its
-//      own Hysteresis, so each lever still ratchets on its own cooldown.
+//      AdaptiveHedger (how many copies) judges Config::band
+//      (ctrl/hysteresis.hpp), and the HedgeTimeoutController moves the
+//      hedge deadline.
 // Every transition and every hedge change is appended to a bounded
 // decision log, exported as the "ctrl" section of mdp.run_report.v2
 // (docs/OBSERVABILITY.md) so benches can show *when* and *why* the
@@ -51,7 +49,7 @@ namespace mdp::ctrl {
 ///   4 probe_breach        5 drain_start        6 drained
 ///   7 probation_passed    8 hedge_raise        9 hedge_lower
 ///  10 hedge_timeout      11 tenant_throttle   12 tenant_shed
-///  13 tenant_probation   14 tenant_reinstate  15 granularity_shift
+///  13 tenant_probation   14 tenant_reinstate  15 (reserved)
 ///  16 forecast_prehedge  17 forecast_probe    18 forecast_prequarantine
 ///  19 forecast_restore
 std::uint32_t decision_reason_code(const char* reason) noexcept;
@@ -116,24 +114,10 @@ struct Config {
   std::uint64_t probe_grant_per_tick = 8;
   /// Never quarantine below this many ACTIVE paths.
   std::size_t min_serving_paths = 1;
-  /// The band both replication levers (hedger, granularity) judge the
-  /// worst serving-path p99 against.
+  /// The band the hedger judges the worst serving-path p99 against.
   Band band{};
   HedgerConfig hedger{};
   HedgeTimeoutConfig hedge_timeout{};
-  /// The third lever: replication granularity (none / packet-hedge /
-  /// flow-replica / both), moved from the same worst-serving-path
-  /// evidence and band as the hedger plus the breach judge's stage
-  /// attribution. Disabled by default.
-  GranularityConfig granularity{};
-  /// Stage-aware actuation: when a breaching ACTIVE window's dominant
-  /// stage is `service` (the path's core is slow, not its queue deep),
-  /// masking the path doesn't fix anything hedging can't fix better —
-  /// defer the quarantine up to this many ticks per episode and let the
-  /// hedger act. 0 disables (every breach counts immediately). Requires
-  /// stage evidence (observe_span feeders); scalar-only windows are
-  /// never deferred.
-  std::uint64_t service_defer_ticks = 0;
   /// The proactive stage: act on forecast tails BEFORE the reactive
   /// breach (docs/FORECAST.md). Disabled by default; disabled is
   /// byte-identical to the pre-forecast controller.
@@ -145,11 +129,10 @@ struct Config {
 /// One logged control action (state transition, hedge change, or tenant
 /// admission change).
 struct Decision {
-  static constexpr std::uint16_t kHedge = 0xffff;   ///< `path` for hedges
-  static constexpr std::uint16_t kTenant = 0xfffe;  ///< `path` for tenants
-  /// `path` for granularity shifts. Lowest sentinel: `path <
-  /// kGranularity` means "a real path".
-  static constexpr std::uint16_t kGranularity = 0xfffd;
+  static constexpr std::uint16_t kHedge = 0xffff;  ///< `path` for hedges
+  /// `path` for tenants. Lowest sentinel: `path < kTenant` means "a real
+  /// path".
+  static constexpr std::uint16_t kTenant = 0xfffe;
 
   std::uint64_t tick = 0;
   std::uint64_t now_ns = 0;
@@ -177,13 +160,6 @@ struct Decision {
   TenantState tenant_from = TenantState::kAdmitted;
   TenantState tenant_to = TenantState::kAdmitted;
   std::uint64_t arrivals = 0;
-  /// Granularity decisions only (path == kGranularity): the shift.
-  core::Granularity gran_from = core::Granularity::kPacketHedge;
-  core::Granularity gran_to = core::Granularity::kPacketHedge;
-  /// Granularity in force when the decision was logged; serialized as
-  /// the "granularity" field while the lever is enabled.
-  core::Granularity granularity = core::Granularity::kPacketHedge;
-  bool granularity_logged = false;
   /// Forecast decisions only (reason forecast_*): the forecast evidence
   /// the action was taken on, serialized as a "forecast" sub-object.
   std::uint64_t fc_p99_ns = 0;
@@ -219,18 +195,6 @@ class Controller {
   }
   std::uint64_t hedge_timeout_adjustments() const noexcept {
     return hedge_timeout_.adjustments();
-  }
-  /// Breaches whose quarantine was deferred because the evidence said
-  /// `service` (stage-aware actuation; see Config::service_defer_ticks).
-  std::uint64_t service_deferrals() const noexcept {
-    return service_deferrals_;
-  }
-  /// Replication granularity currently in force (the third lever).
-  core::Granularity granularity() const noexcept {
-    return gran_.granularity();
-  }
-  std::uint64_t granularity_shifts() const noexcept {
-    return gran_.shifts();
   }
 
   // --- forecast stage (docs/FORECAST.md; all zero while disabled) ----------
@@ -349,9 +313,6 @@ class Controller {
     /// Stage verdict of the last breaching window (empty = no evidence).
     const char* last_dominant_stage = "";
     std::uint64_t last_dominant_ns = 0;
-    /// service_defer_ticks budget consumed in the current breach episode
-    /// (reset by the first clean window).
-    std::uint64_t service_defers_used = 0;
     // Forecast stage (only touched while cfg_.forecast.enabled):
     /// Held at kProbeOnly by a forecast (the FSM still reads kActive —
     /// only reactive evidence may hard-quarantine).
@@ -379,10 +340,6 @@ class Controller {
   TenantAdmission* tenants_ = nullptr;
   AdaptiveHedger hedger_;
   HedgeTimeoutController hedge_timeout_;
-  GranularityController gran_;
-  /// Baseline pushed to the actuator on the first enabled tick, so the
-  /// plane and the lever agree before any shift happens.
-  bool gran_actuated_ = false;
   telem::SnapshotExporter* exporter_ = nullptr;
   telem::FlightRecorder* recorder_ = nullptr;
   telem::FlightRecorder::Channel* rec_chan_ = nullptr;
@@ -393,7 +350,6 @@ class Controller {
   std::vector<Decision> decisions_;
   std::uint64_t tick_ = 0;
   std::uint64_t suppressed_quarantines_ = 0;
-  std::uint64_t service_deferrals_ = 0;
   std::uint64_t decisions_evicted_ = 0;
   /// Forecast stage (docs/FORECAST.md). The estimator exists only while
   /// cfg_.forecast.enabled — a null est_ is the disabled stage.

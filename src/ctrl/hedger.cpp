@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace mdp::ctrl {
 
@@ -84,72 +83,6 @@ std::uint64_t HedgeTimeoutController::update(std::uint64_t p50_ns,
     ++adjustments_;
   }
   return timeout_ns_;
-}
-
-// --- GranularityController ------------------------------------------------------
-
-GranularityController::GranularityController(GranularityConfig cfg,
-                                             Band band)
-    : cfg_(cfg), band_(band), hys_(band.cooldown_ticks),
-      granularity_(cfg.baseline) {}
-
-core::Granularity GranularityController::escalate(
-    const char* dominant_stage) const {
-  using core::Granularity;
-  const bool service_pain =
-      dominant_stage != nullptr &&
-      std::strcmp(dominant_stage, "service") == 0;
-  switch (granularity_) {
-    case Granularity::kNone:
-      return Granularity::kPacketHedge;
-    case Granularity::kPacketHedge:
-      // Queueing pain re-queues fine with hedges alone; service pain
-      // needs whole-flow copies on a path whose core is not stolen.
-      return service_pain ? Granularity::kFlowReplica : Granularity::kBoth;
-    case Granularity::kFlowReplica:
-      return Granularity::kBoth;
-    case Granularity::kBoth:
-      return Granularity::kBoth;
-  }
-  return granularity_;
-}
-
-core::Granularity GranularityController::deescalate() const {
-  using core::Granularity;
-  if (granularity_ == cfg_.baseline) return granularity_;
-  switch (granularity_) {
-    case Granularity::kBoth:
-      // Step down through whichever single mode the baseline is not, so
-      // the ladder converges on baseline rather than oscillating.
-      return cfg_.baseline == Granularity::kFlowReplica
-                 ? Granularity::kFlowReplica
-                 : Granularity::kPacketHedge;
-    case Granularity::kFlowReplica:
-    case Granularity::kPacketHedge:
-      return cfg_.baseline;
-    case Granularity::kNone:
-      return cfg_.baseline;
-  }
-  return cfg_.baseline;
-}
-
-core::Granularity GranularityController::update(std::uint64_t worst_p99_ns,
-                                                std::uint64_t samples,
-                                                std::uint64_t slo_target_ns,
-                                                const char* dominant_stage) {
-  if (!cfg_.enabled || slo_target_ns == 0) return granularity_;
-  hys_.observe(band_.judge(worst_p99_ns, samples, slo_target_ns));
-  core::Granularity next = granularity_;
-  if (hys_.sustained(Direction::kUp, band_.sustain_ticks))
-    next = escalate(dominant_stage);
-  else if (hys_.sustained(Direction::kDown, band_.sustain_ticks))
-    next = deescalate();
-  if (next != granularity_) {
-    granularity_ = next;
-    ++shifts_;
-    hys_.moved();
-  }
-  return granularity_;
 }
 
 }  // namespace mdp::ctrl

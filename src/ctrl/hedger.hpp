@@ -11,18 +11,16 @@
 //   inflation > band.raise_threshold  (sustained)  -> replicas + 1
 //   inflation < band.lower_threshold  (sustained)  -> replicas - 1
 //
-// The band (ctrl/hysteresis.hpp) is ctrl::Config::band, the one band both
-// replication levers judge against: this hedger and the granularity lever
-// below each run their own ctrl::Hysteresis over it, so each needs
-// `sustain_ticks` consecutive out-of-band windows and honours a cooldown
-// after every move of its own. Pure decision logic; the Controller
-// actuates the returned factor through Actuator::set_replicas().
+// The band (ctrl/hysteresis.hpp) is ctrl::Config::band: the hedger runs a
+// ctrl::Hysteresis over it, so it needs `sustain_ticks` consecutive
+// out-of-band windows and honours a cooldown after every move. Pure
+// decision logic; the Controller actuates the returned factor through
+// Actuator::set_replicas().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
-#include "core/granularity.hpp"
 #include "ctrl/hysteresis.hpp"
 
 namespace mdp::ctrl {
@@ -148,62 +146,6 @@ class HedgeTimeoutController {
   bool primed_ = false;
   std::uint64_t timeout_ns_ = 0;
   std::uint64_t adjustments_ = 0;
-};
-
-// --- replication granularity -----------------------------------------------------
-//
-// The third lever: not how many copies or when, but WHAT gets duplicated.
-// Packet hedging reacts after a deadline is already blown — right when
-// the pain is queueing (the straggler re-queues elsewhere and wins). But
-// when the pain is the service stage itself (a stolen core slows every
-// packet it serves), each packet of a short flow eats the slowdown and
-// hedges one by one; RepNet's flow-granularity replication — clone the
-// whole short flow onto a disjoint path set up front — is the cheaper
-// fix. The policy reads the same stage-attribution evidence the breach
-// judge produces:
-//
-//   sustained inflation, service-dominant   -> escalate toward flow
-//                                              replicas (kFlowReplica,
-//                                              then kBoth if it persists)
-//   sustained inflation, queueing-dominant  -> escalate toward packet
-//                                              hedging (kBoth covers the
-//                                              single-copy remainder)
-//   sustained calm                          -> step back down toward the
-//                                              configured baseline
-//
-// Same band as the hedger, its own Hysteresis: one noisy window never
-// moves the lever. Pure decision logic; the Controller actuates through
-// Actuator::set_granularity() and logs "granularity_shift" decisions.
-
-struct GranularityConfig {
-  bool enabled = false;
-  /// The resting granularity while the tail is in-band.
-  core::Granularity baseline = core::Granularity::kPacketHedge;
-};
-
-class GranularityController {
- public:
-  explicit GranularityController(GranularityConfig cfg = {}, Band band = {});
-
-  /// One controller tick: worst serving-path p99/samples plus the breach
-  /// judge's dominant-stage attribution ("" or nullptr = no stage
-  /// evidence). Returns the (possibly updated) granularity.
-  core::Granularity update(std::uint64_t worst_p99_ns, std::uint64_t samples,
-                           std::uint64_t slo_target_ns,
-                           const char* dominant_stage);
-
-  core::Granularity granularity() const noexcept { return granularity_; }
-  std::uint64_t shifts() const noexcept { return shifts_; }
-
- private:
-  core::Granularity escalate(const char* dominant_stage) const;
-  core::Granularity deescalate() const;
-
-  GranularityConfig cfg_;
-  Band band_;
-  Hysteresis hys_;
-  core::Granularity granularity_;
-  std::uint64_t shifts_ = 0;
 };
 
 }  // namespace mdp::ctrl

@@ -10,8 +10,8 @@
 //               is up, below lower_threshold is down, anything between —
 //               or a window thinner than min_samples — is hold.
 //
-// Callers: the replication factor (AdaptiveHedger) and the replication
-// granularity (GranularityController) judge one shared Band; the path FSM
+// Callers: the replication factor (AdaptiveHedger) judges the Band; the
+// path FSM
 // counts breaching windows toward quarantine; the tenant FSM counts
 // storming and calm windows. What a sustained direction means, and whether
 // a move is possible at all, stays with the caller, which calls moved()

@@ -4,8 +4,8 @@
 // span with owning net::PacketPtr handles, tx_burst() consumes a prefix of
 // one. Everything above this interface (dispatch, per-path rings, workers,
 // merge, reorder) is backend-agnostic; everything below it (a synthetic
-// generator, an in-memory loopback wire, AF_PACKET ring buffers, one day
-// AF_XDP/DPDK) is swappable. The conformance suite in
+// generator, an in-memory loopback wire, one day a real NIC) is
+// swappable. The conformance suite in
 // tests/test_backend_conformance.cpp is the contract every implementation
 // must pass — see docs/IO_BACKENDS.md.
 //

@@ -43,7 +43,6 @@
 #include <atomic>
 
 #include "core/admission.hpp"
-#include "core/granularity.hpp"
 #include "core/merge.hpp"
 #include "ctrl/controller.hpp"
 #include "ctrl/tenant.hpp"
@@ -88,15 +87,13 @@ struct ChaosScenarioConfig {
   /// is the queue_wait bottleneck injector.
   std::vector<std::size_t> drain_per_iter{};
   std::vector<FaultPhase> phases{};
-  /// Granularity the rig starts at; RigActuator::set_granularity (the
-  /// controller's third lever) overrides it mid-run. While it allows flow
-  /// replicas (tenantless generation only), every packet of a flow is sent
-  /// once on each path of the flow's stable admissible pair (scan from
-  /// flow % num_paths), both copies expected at the merge — first copy
-  /// wins per sequence. Flows for which fewer than two admissible paths
-  /// exist fall back to single-copy dispatch (and so stay hedgeable).
-  /// kPacketHedge: hedge sweep armed, no flow replicas.
-  core::Granularity granularity = core::Granularity::kPacketHedge;
+  /// Flow replication (tenantless generation only): every packet of a
+  /// flow is sent once on each path of the flow's stable admissible pair
+  /// (scan from flow % num_paths), both copies expected at the merge —
+  /// first copy wins per sequence. Flows for which fewer than two
+  /// admissible paths exist fall back to single-copy dispatch (and so stay
+  /// hedgeable). Off: hedge sweep only.
+  bool flow_replicas = false;
   ctrl::Config ctrl{};
   std::uint64_t ctrl_tick_every = 64;  ///< iterations between ticks
   std::uint64_t reorder_timeout_ns = 200'000;
@@ -152,11 +149,8 @@ struct ChaosResult {
   std::uint64_t reinstatements = 0;
   std::uint64_t hedge_timeout_ns = 0;
   std::uint64_t hedge_timeout_adjustments = 0;
-  std::uint64_t service_deferrals = 0;
-  /// Extra copies sent by flow-granularity replication (not hedges).
+  /// Extra copies sent by flow replication (not hedges).
   std::uint64_t flow_replicas = 0;
-  std::uint64_t granularity_shifts = 0;
-  core::Granularity final_granularity = core::Granularity::kPacketHedge;
   std::vector<ctrl::Decision> decisions;
   std::string ctrl_report;  ///< report_json(): the byte-identity artifact
   /// Egress order as (flow << 32 | seq), for run-to-run identity checks.
@@ -309,7 +303,6 @@ class ChaosRig {
     admission_ = core::AdmissionSet(cfg_.num_paths);
     replicas_ = 1;
     hedge_timeout_ns_ = 0;
-    granularity_ = cfg_.granularity;
     rr_ = 0;
     rng_ = cfg_.seed ? cfg_.seed : 0x9e3779b97f4a7c15ULL;
 
@@ -345,19 +338,18 @@ class ChaosRig {
       }
     };
 
-    // One (flow, seq) into the plane. While the granularity allows flow
-    // replicas (tenantless only), the whole flow rides its stable
-    // admissible pair, both copies expected up front; it is never tracked
-    // in `outstanding` — a replicated flow is already redundant, hedging
-    // it would triple-send. Otherwise `replicas_` copies by pick_path, and
-    // a single copy stays hedgeable.
+    // One (flow, seq) into the plane. With flow replicas on (tenantless
+    // only), the whole flow rides its stable admissible pair, both copies
+    // expected up front; it is never tracked in `outstanding` — a
+    // replicated flow is already redundant, hedging it would triple-send.
+    // Otherwise `replicas_` copies by pick_path, and a single copy stays
+    // hedgeable.
     std::vector<std::uint16_t> paths;
     auto offer = [&](std::uint32_t flow, std::uint16_t tenant) {
       const std::uint64_t seq = next_seq[flow]++;
       paths.resize(2);
       const bool replicated =
-          tenant == kNoTenant &&
-          core::granularity_allows_flow_replica(granularity_) &&
+          tenant == kNoTenant && cfg_.flow_replicas &&
           replica_pair(flow, paths.data());
       if (!replicated) {
         paths.resize(std::min<std::size_t>(replicas_, cfg_.num_paths));
@@ -479,8 +471,7 @@ class ChaosRig {
                               outstanding.front().seq) ||
               now - outstanding.front().gen_ns > 2 * cfg_.reorder_timeout_ns))
         outstanding.pop_front();
-      if (hedge_timeout_ns_ > 0 &&
-          core::granularity_allows_hedge(granularity_)) {
+      if (hedge_timeout_ns_ > 0) {
         for (auto& o : outstanding) {
           if (now - o.gen_ns <= hedge_timeout_ns_) break;  // gen order
           if (o.hedged || merge.delivered(o.flow, o.seq)) continue;
@@ -558,9 +549,6 @@ class ChaosRig {
     res.reinstatements = controller.reinstatements();
     res.hedge_timeout_ns = controller.hedge_timeout_ns();
     res.hedge_timeout_adjustments = controller.hedge_timeout_adjustments();
-    res.service_deferrals = controller.service_deferrals();
-    res.granularity_shifts = controller.granularity_shifts();
-    res.final_granularity = granularity_;
     res.breach_windows = controller.breach_windows();
     res.forecast_prehedges = controller.forecast_prehedges();
     res.forecast_probes = controller.forecast_probes();
@@ -635,12 +623,6 @@ class ChaosRig {
     void set_replicas(std::size_t r) override { rig_.replicas_ = r; }
     void set_hedge_timeout(std::uint64_t t) override {
       rig_.hedge_timeout_ns_ = t;
-    }
-    void set_granularity(core::Granularity g) override {
-      rig_.granularity_ = g;
-      rig_.rig_chan_->emit(rig_.now_ns_, telem::EventType::kUser,
-                           telem::kAllPaths,
-                           static_cast<std::uint32_t>(g), 0);
     }
 
    private:
@@ -765,7 +747,6 @@ class ChaosRig {
   core::AdmissionSet admission_;
   std::size_t replicas_ = 1;
   std::uint64_t hedge_timeout_ns_ = 0;
-  core::Granularity granularity_ = core::Granularity::kPacketHedge;
   std::size_t rr_ = 0;
   std::uint64_t rng_ = 1;
   std::uint64_t pool_exhausted_ = 0;

@@ -28,11 +28,6 @@
 #include "net/packet_builder.hpp"
 #include "net/vxlan.hpp"
 #include "sim/event_queue.hpp"
-#if MDP_WITH_AF_PACKET
-#include <cstdlib>
-
-#include "io/af_packet_backend.hpp"
-#endif
 
 namespace mdp {
 namespace {
@@ -315,22 +310,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_pair("synthetic", HarnessFactory(make_synthetic)),
         std::make_pair("loopback", HarnessFactory(make_loopback))),
     [](const auto& info) { return std::string(info.param.first); });
-
-#if MDP_WITH_AF_PACKET
-// Compiled in but only *run* when the environment names an interface the
-// runner may open with CAP_NET_RAW (never true in CI).
-TEST(AfPacketBackend, StartsWhenInterfaceGranted) {
-  const char* iface = std::getenv("MDP_AF_PACKET_IFACE");
-  if (!iface) GTEST_SKIP() << "set MDP_AF_PACKET_IFACE to run";
-  io::AfPacketConfig cfg;
-  cfg.interface = iface;
-  io::AfPacketBackend backend(cfg);
-  std::string err;
-  ASSERT_TRUE(backend.start(&err)) << err;
-  EXPECT_EQ(backend.caps().name, "af_packet");
-  backend.stop();
-}
-#endif
 
 // ---------------------------------------------------------------------------
 // Loopback as the deterministic wire: byte-exact delivery and fault lanes.

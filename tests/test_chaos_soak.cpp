@@ -52,7 +52,7 @@ void expect_decision_log_sane(const ChaosResult& r, const char* label) {
       "probe_breach",   "drain_start",    "drained",
       "probation_passed", "hedge_raise",  "hedge_lower",
       "hedge_timeout",  "tenant_throttle", "tenant_shed",
-      "tenant_probation", "tenant_reinstate", "granularity_shift"};
+      "tenant_probation", "tenant_reinstate"};
   static const std::set<std::string> kStages = {
       "", "schedule", "queue_wait", "service", "chain", "merge", "reorder"};
   for (const auto& d : r.decisions) {
@@ -60,9 +60,7 @@ void expect_decision_log_sane(const ChaosResult& r, const char* label) {
         << label << ": unknown reason '" << d.reason << "'";
     EXPECT_TRUE(kStages.count(d.dominant_stage))
         << label << ": unknown stage '" << d.dominant_stage << "'";
-    if (d.path == ctrl::Decision::kHedge ||
-        d.path == ctrl::Decision::kGranularity)
-      continue;
+    if (d.path == ctrl::Decision::kHedge) continue;
     if (d.path == ctrl::Decision::kTenant) {
       using T = ctrl::TenantState;
       const bool legal_t =
@@ -248,7 +246,7 @@ TEST(ChaosSoak, EightSeedSweepHoldsAllInvariants) {
     EXPECT_GT(r.wire_dropped + r.wire_duplicated + r.wire_reordered, 0u)
         << label << ": the storms must actually fire";
     EXPECT_EQ(r.flow_replicas, 0u)
-        << label << ": granularity kPacketHedge sends no flow replicas";
+        << label << ": flow replicas off sends no flow replicas";
     total_hedges += r.hedges_sent;
     total_decisions += r.decisions.size();
   }
@@ -259,14 +257,14 @@ TEST(ChaosSoak, EightSeedSweepHoldsAllInvariants) {
 }
 
 // ---------------------------------------------------------------------------
-// Flow-granularity replication soak: the same storms, but every flow rides
+// Flow replication soak: the same storms, but every flow rides
 // a stable pair of faulty paths with both copies expected at dedup.
 // First-copy-wins must hold exactly-once / in-order / zero-leak across
 // seeds, and reruns must be byte-identical.
 
 ChaosScenarioConfig replica_soak_cfg(std::uint64_t seed) {
   ChaosScenarioConfig cfg = soak_cfg(seed);
-  cfg.granularity = core::Granularity::kBoth;  // replicas AND hedging live
+  cfg.flow_replicas = true;  // replicas AND hedging live
   return cfg;
 }
 

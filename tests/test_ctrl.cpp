@@ -2,10 +2,9 @@
 //
 // Unit layer: PathStateMachine hysteresis edges, SloMonitor windows (incl.
 // a two-writer concurrency smoke — the monitor is the only cross-thread
-// surface), the shared Hysteresis/Band primitive, AdaptiveHedger and
-// GranularityController on it, and the Controller against a scripted
-// FakeActuator (lifecycle, capacity guard, backlog breach, probe breach,
-// decision log + report JSON).
+// surface), the shared Hysteresis/Band primitive, AdaptiveHedger on it,
+// and the Controller against a scripted FakeActuator (lifecycle, capacity
+// guard, backlog breach, probe breach, decision log + report JSON).
 //
 // Sim closed loop: Controller + SimPlaneActuator + MdpDataPlane against a
 // silent core stall (mask, drain, probe probation, reinstate) and a short
@@ -368,12 +367,12 @@ TEST(Hysteresis, AlternatingSignalsNeverOscillate) {
   EXPECT_EQ(flips, 2);
 }
 
-ctrl::Band test_band(int cooldown_ticks = 3) {
+ctrl::Band test_band() {
   ctrl::Band band;
   band.raise_threshold = 1.0;
   band.lower_threshold = 0.5;
   band.sustain_ticks = 2;
-  band.cooldown_ticks = cooldown_ticks;
+  band.cooldown_ticks = 3;
   band.min_samples = 10;
   return band;
 }
@@ -431,58 +430,6 @@ TEST(AdaptiveHedger, DisabledHoldsTheFloor) {
   for (int i = 0; i < 10; ++i) h.update(5000, 100, 1000);
   EXPECT_EQ(h.replicas(), 1u);
   EXPECT_EQ(h.raises(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// GranularityController: the escalate / de-escalate ladder.
-
-TEST(GranularityController, EscalatesByStageAndStepsBackToBaseline) {
-  using core::Granularity;
-  auto run = [](Granularity baseline, const char* stage, int hot,
-                int calm) {
-    ctrl::GranularityController g({.enabled = true, .baseline = baseline},
-                                  test_band(/*cooldown_ticks=*/0));
-    for (int i = 0; i < hot; ++i) g.update(2000, 100, 1000, stage);
-    const Granularity top = g.granularity();
-    for (int i = 0; i < calm; ++i) g.update(100, 100, 1000, "");
-    return std::pair{top, g.granularity()};
-  };
-  using P = std::pair<Granularity, Granularity>;
-  // Service pain climbs through whole-flow copies; queueing pain goes
-  // straight to both. Two hot windows per rung, two calm ones per step.
-  EXPECT_EQ(run(Granularity::kPacketHedge, "service", 1, 0),
-            P(Granularity::kPacketHedge, Granularity::kPacketHedge));
-  EXPECT_EQ(run(Granularity::kPacketHedge, "service", 2, 0),
-            P(Granularity::kFlowReplica, Granularity::kFlowReplica));
-  EXPECT_EQ(run(Granularity::kPacketHedge, "service", 4, 2),
-            P(Granularity::kBoth, Granularity::kPacketHedge));
-  EXPECT_EQ(run(Granularity::kPacketHedge, "queue_wait", 2, 1),
-            P(Granularity::kBoth, Granularity::kBoth));
-  EXPECT_EQ(run(Granularity::kPacketHedge, nullptr, 12, 12),
-            P(Granularity::kBoth, Granularity::kPacketHedge));
-  // Down from kBoth through the baseline's own mode; kNone climbs too.
-  EXPECT_EQ(run(Granularity::kFlowReplica, "service", 2, 2),
-            P(Granularity::kBoth, Granularity::kFlowReplica));
-  EXPECT_EQ(run(Granularity::kNone, "service", 2, 2),
-            P(Granularity::kPacketHedge, Granularity::kNone));
-}
-
-TEST(GranularityController, CooldownThinWindowsAndDisabled) {
-  using core::Granularity;
-  ctrl::GranularityController g({.enabled = true}, test_band());
-  for (int i = 0; i < 2; ++i) g.update(2000, 100, 1000, "service");
-  ASSERT_EQ(g.granularity(), Granularity::kFlowReplica);
-  g.update(2000, 100, 1000, "service");
-  g.update(2000, 100, 1000, "service");
-  EXPECT_EQ(g.granularity(), Granularity::kFlowReplica) << "cooling down";
-  EXPECT_EQ(g.update(2000, 100, 1000, "service"), Granularity::kBoth);
-  EXPECT_EQ(g.shifts(), 2u);
-  for (int i = 0; i < 6; ++i) g.update(9000, 5, 1000, "service");
-  EXPECT_EQ(g.shifts(), 2u) << "windows under min_samples carry no signal";
-
-  ctrl::GranularityController off({}, test_band());  // disabled by default
-  for (int i = 0; i < 6; ++i) off.update(9000, 100, 1000, "service");
-  EXPECT_EQ(off.shifts(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -795,66 +742,25 @@ TEST(Controller, QuarantineDecisionCarriesTheDominantStage) {
   EXPECT_EQ(jd.find("dominant_stage_ns")->as_u64(), 8u * 4000);
 }
 
-TEST(Controller, ServiceDominatedBreachDefersQuarantine) {
-  // Stage-aware actuation: a service-dominated breach means the path's
-  // core is slow, not its queue deep — masking just moves the load while
-  // hedging can rescue the stragglers. The quarantine is deferred for a
-  // bounded budget of ticks, then a persistent breach is caught anyway.
+TEST(Controller, ServiceDominatedBreachCountsFromItsFirstTick) {
+  // A service-dominated breach gets no grace: its first breaching window
+  // counts toward quarantine_after exactly like a queue-dominated one,
+  // and the quarantine carries the breaching window's stage verdict.
   ctrl::SloMonitor mon(2, 1000);
   FakeActuator act(2);
-  ctrl::Config cfg = controller_cfg();
-  cfg.service_defer_ticks = 2;
-  ctrl::Controller ctl(cfg, act, mon);
+  ctrl::Controller ctl(controller_cfg(), act, mon);
 
-  for (int t = 1; t <= 3; ++t) {
-    feed_spans(mon, 1, 8, /*queue_wait=*/100, /*service=*/4800,
-               /*reorder=*/100);
-    ctl.tick(t);
-    EXPECT_EQ(ctl.path_state(1), PathState::kActive) << "tick " << t;
-  }
-  EXPECT_EQ(ctl.service_deferrals(), 2u);
-  feed_spans(mon, 1, 8, 100, 4800, 100);
-  ctl.tick(4);
-  EXPECT_EQ(ctl.path_state(1), PathState::kQuarantined);
-  EXPECT_STREQ(ctl.decisions().back().dominant_stage, "service");
-}
-
-TEST(Controller, QueueDominatedBreachIsNotDeferred) {
-  // The deferral is stage-gated: a queue-dominated breach means the path
-  // itself is backed up — masking IS the right actuator, immediately.
-  ctrl::SloMonitor mon(2, 1000);
-  FakeActuator act(2);
-  ctrl::Config cfg = controller_cfg();
-  cfg.service_defer_ticks = 2;
-  ctrl::Controller ctl(cfg, act, mon);
-
-  feed_spans(mon, 1, 8, /*queue_wait=*/4800, /*service=*/100,
+  feed_spans(mon, 1, 8, /*queue_wait=*/100, /*service=*/4800,
              /*reorder=*/100);
   ctl.tick(1);
-  feed_spans(mon, 1, 8, 4800, 100, 100);
-  ctl.tick(2);
-  EXPECT_EQ(ctl.path_state(1), PathState::kQuarantined);
-  EXPECT_EQ(ctl.service_deferrals(), 0u);
-}
-
-TEST(Controller, CleanWindowRefillsTheServiceDeferralBudget) {
-  // The budget is per-episode: one clean window ends the episode, so the
-  // next service-dominated breach gets a fresh deferral allowance.
-  ctrl::SloMonitor mon(2, 1000);
-  FakeActuator act(2);
-  ctrl::Config cfg = controller_cfg();
-  cfg.service_defer_ticks = 1;
-  ctrl::Controller ctl(cfg, act, mon);
-
-  feed_spans(mon, 1, 8, 100, 4800, 100);
-  ctl.tick(1);  // deferred: budget spent
-  EXPECT_EQ(ctl.service_deferrals(), 1u);
-  feed(mon, 1, 8, 100);
-  ctl.tick(2);  // clean window: episode over, budget refilled
-  feed_spans(mon, 1, 8, 100, 4800, 100);
-  ctl.tick(3);  // deferred again from the fresh budget
-  EXPECT_EQ(ctl.service_deferrals(), 2u);
   EXPECT_EQ(ctl.path_state(1), PathState::kActive);
+  feed_spans(mon, 1, 8, 100, 4800, 100);
+  ctl.tick(2);
+  ASSERT_EQ(ctl.path_state(1), PathState::kQuarantined);
+  const ctrl::Decision& d = ctl.decisions().back();
+  EXPECT_STREQ(d.reason, "slo_breach");
+  EXPECT_STREQ(d.dominant_stage, "service");
+  EXPECT_EQ(d.dominant_stage_ns, 8u * 4800);
 }
 
 TEST(Controller, HedgeTimeoutLoopActuatesTheScheduler) {
@@ -897,7 +803,6 @@ TEST(Controller, HedgeTimeoutLoopActuatesTheScheduler) {
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("hedge_timeout_ns")->as_u64(), ctl.hedge_timeout_ns());
   EXPECT_EQ(doc->find("hedge_timeout_adjustments")->as_u64(), 2u);
-  EXPECT_EQ(doc->find("service_deferrals")->as_u64(), 0u);
   const trace::JsonValue& jd = doc->find("decisions")->items().back();
   EXPECT_EQ(jd.find("reason")->as_string(), "hedge_timeout");
   EXPECT_EQ(jd.find("target")->as_string(), "hedger");
@@ -907,7 +812,6 @@ TEST(Controller, HedgeTimeoutLoopActuatesTheScheduler) {
   ctl.register_stats(reg);
   trace::Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("ctrl.hedge_timeout_changes"), 2u);
-  EXPECT_EQ(snap.counters.at("ctrl.service_deferrals"), 0u);
   EXPECT_EQ(snap.gauges.at("ctrl.hedge_timeout_ns"),
             static_cast<double>(ctl.hedge_timeout_ns()));
 }

@@ -294,9 +294,8 @@ const std::set<std::string>& known_reasons() {
       "probe_breach",     "drain_start",      "drained",
       "probation_passed", "hedge_raise",      "hedge_lower",
       "hedge_timeout",    "tenant_throttle",  "tenant_shed",
-      "tenant_probation", "tenant_reinstate", "granularity_shift",
-      "forecast_prehedge", "forecast_probe",  "forecast_prequarantine",
-      "forecast_restore"};
+      "tenant_probation", "tenant_reinstate", "forecast_prehedge",
+      "forecast_probe",   "forecast_prequarantine", "forecast_restore"};
   return kReasons;
 }
 
@@ -394,7 +393,7 @@ TEST(ForecastChaos, PrehedgeFiresBeforeTheReactiveBreach) {
                 cfg.ctrl.forecast.estimator.horizon_ticks);
       EXPECT_EQ(d.path, 1u) << "the worst forecast is the ramping path";
     }
-    if (!saw_quarantine && d.path < ctrl::Decision::kGranularity &&
+    if (!saw_quarantine && d.path < ctrl::Decision::kTenant &&
         d.to == ctrl::PathState::kQuarantined) {
       quarantine_tick = d.tick;
       saw_quarantine = true;

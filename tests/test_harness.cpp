@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
-#include "workload/trace.hpp"
-#include "workload/trace_replay.hpp"
 
 namespace mdp::harness {
 namespace {
@@ -117,52 +115,6 @@ TEST(Harness, UnknownPolicyAndWorkloadThrow) {
   auto cfg2 = small_scenario("jsq");
   EXPECT_THROW(run_rpc_scenario(cfg2, "not-a-workload", 10),
                std::invalid_argument);
-}
-
-TEST(Harness, TraceCaptureReplayReproducesDataPlaneBehaviour) {
-  // Capture a workload into a trace, then replay it through two fresh
-  // data planes: identical per-packet egress order and latencies.
-  workload::TraceWriter trace;
-  {
-    sim::EventQueue eq;
-    net::PacketPool pool(2048, 2048);
-    workload::TrafficGenConfig tg;
-    tg.seed = 9;
-    workload::TrafficGen gen(
-        eq, pool, tg, std::make_unique<workload::PoissonArrivals>(1200),
-        [&](net::PacketPtr p) {
-          trace.append(workload::TraceRecord{
-              eq.now(), p->anno().flow_id,
-              static_cast<std::uint16_t>(p->length()),
-              static_cast<std::uint8_t>(p->anno().traffic_class)});
-        });
-    gen.start(5000);
-    eq.run();
-  }
-  ASSERT_EQ(trace.records().size(), 5000u);
-
-  auto run_replay = [&] {
-    sim::EventQueue eq;
-    net::PacketPool pool(2048, 2048);
-    core::DataPlaneConfig cfg;
-    cfg.num_paths = 4;
-    core::MdpDataPlane dp(eq, pool, cfg, core::make_scheduler("adaptive"));
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-    dp.set_egress([&](net::PacketPtr p) {
-      out.emplace_back(p->anno().flow_id,
-                       p->anno().egress_ns - p->anno().ingress_ns);
-    });
-    workload::TraceReplay replay(
-        eq, pool, trace.records(),
-        [&](net::PacketPtr p) { dp.ingress(std::move(p)); });
-    replay.start();
-    eq.run();
-    return out;
-  };
-  auto a = run_replay();
-  auto b = run_replay();
-  EXPECT_EQ(a.size(), 5000u);
-  EXPECT_EQ(a, b) << "replayed trace must be bit-identical end to end";
 }
 
 TEST(Harness, DeterministicAcrossRuns) {

@@ -1,18 +1,14 @@
-// Flow-granularity replication tests (RepNet lever, see
-// docs/ARCHITECTURE.md):
+// Flow-granularity replication tests (RepNet, see docs/ARCHITECTURE.md):
 //   - FlowReplicator unit behavior: size-class gating, per-tenant token
 //     budgets (charged once per flow), disjoint path selection from
 //     backlog evidence, starvation fallback, decision caching;
 //   - core::Merge under flow replication: first-copy-wins per sequence,
 //     end_flow retiring in-flight copies;
-//   - MdpDataPlane end to end: replication disabled (or the lever parked
-//     at kPacketHedge) is byte-identical to the seed plane; enabled
-//     replication keeps exactly-once / in-order / zero-leak while
-//     actually double-sending short flows, and a mid-flow downshift
-//     returns later sequences to one copy; end_flow retires every
-//     per-flow entry under 100k-flow churn;
-//   - Controller e2e: a delay-lane storm escalates the granularity lever
-//     packet -> flow and back, with every shift a logged decision.
+//   - MdpDataPlane end to end: replication enabled with no qualifying
+//     flow is byte-identical to the seed plane; enabled replication keeps
+//     exactly-once / in-order / zero-leak while actually double-sending
+//     short flows; end_flow retires every per-flow entry under 100k-flow
+//     churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "chaos_harness.hpp"
 #include "core/dataplane.hpp"
 #include "core/flow_replicator.hpp"
-#include "core/granularity.hpp"
 #include "net/packet_builder.hpp"
 
 namespace mdp {
@@ -31,7 +25,6 @@ namespace {
 
 using core::FlowReplicator;
 using core::FlowReplicatorConfig;
-using core::Granularity;
 
 // ---------------------------------------------------------------------------
 // FlowReplicator units.
@@ -172,7 +165,7 @@ TEST(FlowReplicator, PathStarvationAndDownedReplicaSets) {
   EXPECT_EQ(f.out[0], 3u);
 }
 
-TEST(FlowReplicator, EraseAndClearForgetDecisions) {
+TEST(FlowReplicator, EraseForgetsDecisions) {
   ReplFixture f;
   FlowReplicator repl({.enabled = true});
   for (std::uint32_t flow : {1u, 2u, 3u}) {
@@ -183,10 +176,8 @@ TEST(FlowReplicator, EraseAndClearForgetDecisions) {
   EXPECT_TRUE(repl.erase(2));
   EXPECT_EQ(repl.tracked(), 2u);
   EXPECT_FALSE(repl.erase(2)) << "double-erase must be a no-op";
-  repl.clear();
-  EXPECT_EQ(repl.tracked(), 0u);
   // A forgotten flow is decided afresh on its next packet.
-  auto p = f.make(1, 2'000);
+  auto p = f.make(2, 2'000);
   EXPECT_TRUE(repl.route(*p, f.ctx, f.out));
   EXPECT_EQ(repl.flows_seen(), 4u);
   EXPECT_EQ(repl.flows_replicated(), 4u);
@@ -277,34 +268,26 @@ struct DpFixture {
   }
 };
 
-TEST(DataPlaneReplication, DisabledAndParkedLeverAreByteIdenticalToSeed) {
+TEST(DataPlaneReplication, DisabledIsByteIdenticalToSeed) {
   core::DataPlaneConfig off{};  // flow_repl defaulted off: the seed plane
   DpFixture a(off);
   a.drive();
 
-  core::DataPlaneConfig parked{};
-  parked.flow_repl.enabled = true;
-  DpFixture b(parked);
-  ASSERT_EQ(b.dp->granularity(), Granularity::kBoth)
-      << "enabling flow replication must arm both levers by default";
-  b.dp->set_granularity(Granularity::kPacketHedge);  // park the new lever
+  // Enabled, but every flow is an elephant: the replicator decides and
+  // gates each flow without touching dispatch.
+  core::DataPlaneConfig gated{};
+  gated.flow_repl.enabled = true;
+  gated.flow_repl.size_cutoff_bytes = 1'000;
+  DpFixture b(gated);
   b.drive();
 
   ASSERT_FALSE(a.log.empty());
   EXPECT_EQ(a.log, b.log)
-      << "a parked granularity lever must not perturb egress order or "
-         "timing by a single event";
+      << "a replicator that replicates nothing must not perturb egress "
+         "order or timing by a single event";
   EXPECT_EQ(
       b.dp->fast_counters().get(core::DpCounter::kFlowReplicas), 0u);
-
-  // And kNone truncates even scheduler redundancy to one copy: the
-  // whole redundancy machine can be turned off from one knob.
-  core::DataPlaneConfig none{};
-  DpFixture c(none);
-  c.dp->set_granularity(Granularity::kNone);
-  c.drive();
-  EXPECT_EQ(c.dp->fast_counters().get(core::DpCounter::kReplicas), 0u);
-  EXPECT_EQ(c.dp->fast_counters().get(core::DpCounter::kHedges), 0u);
+  EXPECT_EQ(b.dp->flow_replicator()->size_gated(), 6u);
 }
 
 TEST(DataPlaneReplication, ReplicatedFlowsStayExactlyOnceInOrder) {
@@ -326,11 +309,6 @@ TEST(DataPlaneReplication, ReplicatedFlowsStayExactlyOnceInOrder) {
   EXPECT_GT(f.dp->dedup().dup_drops(), 0u) << "losing copies must be real";
   EXPECT_GT(f.dp->extra_copy_bytes(), 0u);
 
-  // Mid-flow downshift: the same flows' later sequences leave as one copy.
-  f.dp->set_granularity(Granularity::kPacketHedge);
-  f.drive(kFlows, kPerFlow, /*flow_bytes=*/2'000);
-  EXPECT_EQ(fc.get(core::DpCounter::kFlowReplicas), kPkts);
-  EXPECT_EQ(f.log.size(), 2 * kPkts);
   std::map<std::uint32_t, std::uint64_t> next;
   for (const auto& [flow, seq, ns] : f.log) {
     EXPECT_EQ(seq, next[flow]) << "flow " << flow;
@@ -353,7 +331,7 @@ TEST(DataPlaneReplication, EndFlowRetiresAllPerFlowStateUnderChurn) {
   // outlive its flow.
   core::DataPlaneConfig cfg{};
   cfg.num_paths = 4;
-  cfg.functional_chain = false;
+  cfg.chain = "ipcheck";
   cfg.flow_repl.enabled = true;
   sim::EventQueue eq;
   net::PacketPool pool{1024, 256};
@@ -366,8 +344,10 @@ TEST(DataPlaneReplication, EndFlowRetiresAllPerFlowStateUnderChurn) {
   });
   for (std::uint32_t fl = 0; fl < kFlows; ++fl) {
     eq.schedule_at(static_cast<sim::TimeNs>(fl) * 600, [&, fl] {
-      auto pkt = pool.alloc();
-      pkt->set_length(64);
+      net::BuildSpec spec;
+      spec.flow = {0x0a010101 + fl, 0x0a006401, 1024, 80, 0};
+      auto pkt = net::build_udp(pool, spec);
+      ASSERT_TRUE(pkt);
       auto& a = pkt->anno();
       a.flow_id = fl;
       a.flow_hash = fl * 0x9e3779b97f4a7c15ULL;
@@ -402,78 +382,6 @@ TEST(DataPlaneReplication, ElephantsAreGatedToSinglePath) {
   EXPECT_EQ(f.dp->flow_replicator()->size_gated(), 4u);
   EXPECT_EQ(f.log.size(), 160u);
   EXPECT_EQ(f.pool.in_use(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Controller e2e: the granularity lever moves on stage evidence.
-
-TEST(GranularityE2E, DelayStormFlipsPacketToFlowAndBack) {
-  chaos::ChaosScenarioConfig cfg;
-  cfg.seed = 3;
-  cfg.iterations = 40'000;
-  cfg.flows = 4;
-  cfg.num_paths = 2;
-  cfg.packets_per_iter = 1;
-  cfg.drain_per_iter = {8, 8};
-  cfg.flow_affinity = true;  // keep the slow wire's pain in its own spans
-  cfg.granularity = Granularity::kPacketHedge;
-  cfg.ctrl.slo_target_ns = 10'000;
-  cfg.ctrl.violation_threshold = 0.25;
-  cfg.ctrl.min_samples = 16;
-  // Suppress quarantine: this scenario isolates the granularity lever
-  // (otherwise the controller would cut the slow path instead).
-  cfg.ctrl.path.quarantine_after = 1'000'000;
-  cfg.ctrl.hedger.enabled = false;
-  cfg.ctrl.hedge_timeout.enabled = false;
-  cfg.ctrl.granularity.enabled = true;
-  cfg.ctrl.granularity.baseline = Granularity::kPacketHedge;
-  cfg.ctrl.band.min_samples = 16;
-  cfg.ctrl.band.sustain_ticks = 2;
-  cfg.ctrl.band.cooldown_ticks = 2;
-  // Path 1's last mile turns slow mid-run: 40 wire ticks >> the SLO, a
-  // service-stage storm by construction.
-  cfg.phases.push_back({4'000, 24'000, 1, {.delay_ticks = 40}});
-
-  chaos::ChaosResult r = chaos::ChaosRig(cfg).run();
-
-  // Core invariants hold across the flip in BOTH directions.
-  EXPECT_EQ(r.duplicate_egress, 0u);
-  EXPECT_EQ(r.order_violations, 0u);
-  EXPECT_EQ(r.pool_in_use, 0u);
-  EXPECT_EQ(r.pool_allocs, r.pool_recycles);
-
-  // The lever must move: service-dominant inflation escalates the
-  // PacketHedge baseline to FlowReplica, and the clean tail brings it
-  // home. Every shift is a logged, evidenced decision.
-  ASSERT_GE(r.granularity_shifts, 2u)
-      << "the storm must flip the lever out AND the calm must flip it back";
-  std::vector<const ctrl::Decision*> shifts;
-  for (const auto& d : r.decisions)
-    if (d.path == ctrl::Decision::kGranularity) shifts.push_back(&d);
-  ASSERT_GE(shifts.size(), 2u);
-  EXPECT_STREQ(shifts.front()->reason, "granularity_shift");
-  EXPECT_EQ(shifts.front()->gran_from, Granularity::kPacketHedge);
-  EXPECT_EQ(shifts.front()->gran_to, Granularity::kFlowReplica)
-      << "a service-dominant storm calls for flow replicas, not more "
-         "packet hedges";
-  EXPECT_STREQ(shifts.front()->dominant_stage, "service");
-  EXPECT_EQ(shifts.back()->gran_to, Granularity::kPacketHedge)
-      << "the lever must come home after the storm";
-  EXPECT_EQ(r.final_granularity, Granularity::kPacketHedge);
-  EXPECT_GT(r.flow_replicas, 0u)
-      << "the flow-replica phase must have actually double-sent flows";
-
-  // The decision log carries the lever: every decision logged while the
-  // lever is enabled has a granularity field, and the report surfaces
-  // the current setting at top level.
-  EXPECT_NE(r.ctrl_report.find("\"granularity\""), std::string::npos);
-  EXPECT_NE(r.ctrl_report.find("\"granularity_shift\""), std::string::npos);
-
-  // Determinism: the flip is part of the reproducible artifact set.
-  chaos::ChaosResult r2 = chaos::ChaosRig(cfg).run();
-  EXPECT_EQ(r.ctrl_report, r2.ctrl_report);
-  EXPECT_EQ(r.delivered_log, r2.delivered_log);
-  EXPECT_EQ(r.granularity_shifts, r2.granularity_shifts);
 }
 
 }  // namespace

@@ -1,16 +1,13 @@
 // Workload tests: arrival processes, flow-size CDFs, the open-loop traffic
-// generator (rate calibration, flow identity, class marking), the RPC/FCT
-// workload, and the trace format round trip.
+// generator (rate calibration, flow identity, class marking) and the
+// RPC/FCT workload.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 
 #include "workload/arrival.hpp"
 #include "workload/flow_size.hpp"
 #include "workload/rpc_workload.hpp"
-#include "workload/trace.hpp"
-#include "workload/trace_replay.hpp"
 #include "workload/traffic_gen.hpp"
 
 namespace mdp::workload {
@@ -209,76 +206,6 @@ TEST(RpcWorkload, ShortAndLongSplitByCutoff) {
   EXPECT_EQ(rpc.short_fct().count() + rpc.long_fct().count(), 300u);
   EXPECT_GT(rpc.short_fct().count(), 0u);
   EXPECT_GT(rpc.long_fct().count(), 0u);
-}
-
-TEST(TraceReplay, ReproducesArrivalTimesAndIdentity) {
-  sim::EventQueue eq;
-  net::PacketPool pool(256, 2048);
-  std::vector<TraceRecord> records;
-  for (std::uint32_t i = 0; i < 100; ++i)
-    records.push_back(TraceRecord{i * 1000 + 7, i % 5,
-                                  static_cast<std::uint16_t>(100 + i), 2});
-  std::vector<std::tuple<std::uint64_t, std::uint32_t, std::size_t>> got;
-  TraceReplay replay(eq, pool, records, [&](net::PacketPtr p) {
-    got.emplace_back(eq.now(), p->anno().flow_id, p->length());
-  });
-  replay.start();
-  eq.run();
-  ASSERT_EQ(got.size(), 100u);
-  EXPECT_EQ(replay.emitted(), 100u);
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(std::get<0>(got[i]), i * 1000 + 7) << "arrival time " << i;
-    EXPECT_EQ(std::get<1>(got[i]), i % 5);
-  }
-  // Same trace replayed twice is identical (determinism end to end).
-  sim::EventQueue eq2;
-  std::vector<std::tuple<std::uint64_t, std::uint32_t, std::size_t>> got2;
-  TraceReplay replay2(eq2, pool, records, [&](net::PacketPtr p) {
-    got2.emplace_back(eq2.now(), p->anno().flow_id, p->length());
-  });
-  replay2.start();
-  eq2.run();
-  EXPECT_EQ(got, got2);
-}
-
-TEST(TraceReplay, OffsetShiftsAllArrivals) {
-  sim::EventQueue eq;
-  net::PacketPool pool(16, 2048);
-  std::vector<TraceRecord> records{TraceRecord{100, 1, 200, 0}};
-  std::uint64_t fired_at = 0;
-  TraceReplay replay(eq, pool, records,
-                     [&](net::PacketPtr) { fired_at = eq.now(); },
-                     /*time_offset_ns=*/5000);
-  replay.start();
-  eq.run();
-  EXPECT_EQ(fired_at, 5100u);
-}
-
-TEST(Trace, SaveLoadRoundTrip) {
-  TraceWriter w;
-  for (std::uint32_t i = 0; i < 1000; ++i)
-    w.append(TraceRecord{i * 100, i % 7,
-                         static_cast<std::uint16_t>(64 + i % 1400),
-                         static_cast<std::uint8_t>(i % 3)});
-  std::string path = "/tmp/mdp_trace_test.bin";
-  ASSERT_TRUE(w.save(path));
-  TraceReader r;
-  ASSERT_TRUE(r.load(path));
-  ASSERT_EQ(r.records().size(), 1000u);
-  EXPECT_EQ(r.records(), w.records());
-  std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsGarbageFile) {
-  std::string path = "/tmp/mdp_trace_garbage.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not a trace", f);
-  std::fclose(f);
-  TraceReader r;
-  EXPECT_FALSE(r.load(path));
-  EXPECT_FALSE(r.load("/tmp/definitely_missing_file.bin"));
-  std::remove(path.c_str());
 }
 
 }  // namespace
