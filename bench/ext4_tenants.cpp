@@ -5,7 +5,8 @@
 //
 //   1. Capacity (wall clock): nf::FlowTable holds 1M+ concurrent flows in
 //      memory allocated once at construction, with insert / lookup /
-//      eviction-churn costs flat enough to sit on a per-packet path.
+//      eviction-churn costs flat enough to sit on a per-packet path. Each
+//      row is the median of 5 repetitions, each on a fresh table.
 //
 //   2. Isolation (logical clock): a tenant whose connection storm offers
 //      ~3x the plane's drain budget is throttled and shed by
@@ -54,7 +55,7 @@ struct MicroRow {
   }
 };
 
-std::string micro_row_json(const MicroRow& r) {
+std::string micro_row_json(const MicroRow& r, int repetitions) {
   trace::JsonWriter w;
   w.begin_object();
   w.key("schema").value("mdp.bench_tenants.v1");
@@ -63,6 +64,7 @@ std::string micro_row_json(const MicroRow& r) {
   w.key("value").value(r.ns_per_op());
   w.key("unit").value("ns_per_op");
   w.key("wall_clock").value(true);
+  w.key("repetitions").value(repetitions);
   w.end_object();
   return w.take();
 }
@@ -157,45 +159,65 @@ int main(int argc, char** argv) {
                 "million-flow tenancy: FlowTable capacity + storm isolation");
 
   // --- 1. FlowTable at 1M+ flows (wall clock) -----------------------------
+  // Each repetition times all three phases on a fresh table; a row reports
+  // the median repetition, so one descheduled run cannot move it.
   constexpr std::size_t kCap = 1u << 20;  // 1,048,576
   constexpr std::uint32_t kChurn = kCap / 4;
+  constexpr int kReps = 5;
   bench::note("FlowTable capacity 1,048,576; memory allocated once; churn "
-              "inserts recycle via second-chance eviction");
+              "inserts recycle via second-chance eviction; median of 5 "
+              "fresh-table repetitions");
 
-  nf::FlowTable<std::uint64_t> table(kCap);
-  std::vector<MicroRow> micro;
+  std::vector<MicroRow> micro = {{"insert_1m", kCap, 0},
+                                 {"lookup_1m", kCap, 0},
+                                 {"churn_insert", kChurn, 0}};
+  std::vector<std::vector<std::uint64_t>> elapsed(micro.size());
+  for (int rep = 0; rep < kReps; ++rep) {
+    nf::FlowTable<std::uint64_t> table(kCap);
+    std::uint64_t t0 = now_ns();
+    for (std::uint32_t i = 0; i < kCap; ++i) table.insert(flow_n(i), i & 3, i);
+    elapsed[0].push_back(now_ns() - t0);
 
-  std::uint64_t t0 = now_ns();
-  for (std::uint32_t i = 0; i < kCap; ++i) table.insert(flow_n(i), i & 3, i);
-  micro.push_back({"insert_1m", kCap, now_ns() - t0});
+    t0 = now_ns();
+    std::uint64_t hits = 0;
+    for (std::uint32_t i = 0; i < kCap; ++i)
+      hits += table.find(flow_n(i)) != nullptr;
+    elapsed[1].push_back(now_ns() - t0);
 
-  t0 = now_ns();
-  std::uint64_t hits = 0;
-  for (std::uint32_t i = 0; i < kCap; ++i)
-    hits += table.find(flow_n(i)) != nullptr;
-  micro.push_back({"lookup_1m", kCap, now_ns() - t0});
+    t0 = now_ns();
+    for (std::uint32_t i = kCap; i < kCap + kChurn; ++i)
+      table.insert(flow_n(i), i & 3, i);
+    elapsed[2].push_back(now_ns() - t0);
 
-  t0 = now_ns();
-  for (std::uint32_t i = kCap; i < kCap + kChurn; ++i)
-    table.insert(flow_n(i), i & 3, i);
-  micro.push_back({"churn_insert", kChurn, now_ns() - t0});
+    if (table.size() != kCap || hits != kCap) {
+      std::fprintf(stderr, "FATAL: 1M-flow bound or lookup integrity broke "
+                           "(size %zu, hits %llu)\n",
+                   table.size(), static_cast<unsigned long long>(hits));
+      return 1;
+    }
+    if (rep == kReps - 1)
+      std::printf("-- size after churn: %zu (bound held: yes), lookup hits "
+                  "%llu, evictions %llu\n",
+                  table.size(), static_cast<unsigned long long>(hits),
+                  static_cast<unsigned long long>(table.evictions()));
+  }
 
-  stats::Table mt({"operation", "ops", "ns/op"});
-  for (const auto& r : micro) {
-    mt.add_row({r.op, stats::fmt_u64(r.ops),
-                stats::fmt_double(r.ns_per_op(), 1)});
-    sink.add_raw(std::string("flowtable_") + r.op, micro_row_json(r));
+  stats::Table mt({"operation", "ops", "ns/op (median)", "min", "max"});
+  for (std::size_t r = 0; r < micro.size(); ++r) {
+    auto& e = elapsed[r];
+    std::sort(e.begin(), e.end());
+    micro[r].elapsed_ns = e[e.size() / 2];
+    const auto per_op = [&](std::uint64_t ns) {
+      return stats::fmt_double(
+          static_cast<double>(ns) / static_cast<double>(micro[r].ops), 1);
+    };
+    mt.add_row({micro[r].op, stats::fmt_u64(micro[r].ops),
+                per_op(micro[r].elapsed_ns), per_op(e.front()),
+                per_op(e.back())});
+    sink.add_raw(std::string("flowtable_") + micro[r].op,
+                 micro_row_json(micro[r], kReps));
   }
   bench::print_table(mt);
-  std::printf("-- size after churn: %zu (bound held: %s), lookup hits %llu, "
-              "evictions %llu\n",
-              table.size(), table.size() == kCap ? "yes" : "NO",
-              static_cast<unsigned long long>(hits),
-              static_cast<unsigned long long>(table.evictions()));
-  if (table.size() != kCap || hits != kCap) {
-    std::fprintf(stderr, "FATAL: 1M-flow bound or lookup integrity broke\n");
-    return 1;
-  }
 
   // --- 2. Storm isolation (logical clock, deterministic) ------------------
   bench::note("storm tenant ramps to ~3x drain budget; victim SLO 50,000 "

@@ -100,8 +100,8 @@ BENCHMARK(BM_MpmcPushPop);
 
 // Packed-vs-padded per-path counters, the before/after for padding the
 // plane's hot atomics (ThreadedDataPlane::path_completed_, SloMonitor's
-// per-path windows) to std::hardware_destructive_interference_size. Each
-// thread hammers its own logical counter; in the packed layout adjacent
+// per-path windows) to stats::kCacheLineSize (64 bytes). Each thread
+// hammers its own logical counter; in the packed layout adjacent
 // counters share a cache line, so every increment fights its neighbors'
 // cores for the line (false sharing). The padded row gives each counter
 // a line of its own — same code, several times cheaper per increment.

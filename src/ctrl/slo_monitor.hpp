@@ -219,8 +219,7 @@ class SloMonitor {
   void register_stats(trace::StatsRegistry& reg) const;
 
  private:
-  // Hot-write layout (stats::kCacheLineSize =
-  // std::hardware_destructive_interference_size): the scalar window
+  // Hot-write layout (stats::kCacheLineSize, a fixed 64): the scalar window
   // accumulators the observer thread hits on EVERY observation (sum /
   // violations), the per-stage sums (every observe_span), and the
   // lifetime counters each get their own interference line, so the

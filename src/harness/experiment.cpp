@@ -5,6 +5,7 @@
 
 #include "harness/report.hpp"
 #include "net/headers.hpp"
+#include "nf/chain.hpp"
 #include "telem/snapshot_exporter.hpp"
 #include "workload/flow_size.hpp"
 
@@ -69,19 +70,17 @@ void drive(sim::EventQueue& eq, DonePredicate done) {
 }  // namespace
 
 double mean_service_ns(const ScenarioConfig& cfg) {
-  // Chain cost must match what the data plane will compute; build a probe
-  // router to ask. Cheap (no traffic).
-  sim::EventQueue eq;
-  net::PacketPool pool(8, 2048);
-  core::DataPlaneConfig dpc = cfg.dp;
-  dpc.num_paths = 1;
-  dpc.chain = cfg.chain;
-  core::MdpDataPlane probe(eq, pool, dpc,
-                           core::make_scheduler("single"));
+  // The chain cost MdpDataPlane charges per packet is the BuiltChain's
+  // cost_ns. build_chain computes it before the router initializes, so
+  // the probe allocates no NF table.
+  click::Router probe;
+  std::string err;
+  const auto built = nf::build_chain(
+      probe, "probe", nf::ChainSpec::preset(cfg.chain), &err);
+  if (!built) throw std::runtime_error("chain build failed: " + err);
   double frame = net::kEthernetHeaderLen + net::kIpv4MinHeaderLen +
                  net::kUdpHeaderLen + cfg.mean_payload;
-  return static_cast<double>(probe.chain_cost_ns()) +
-         cfg.dp.per_byte_ns * frame;
+  return static_cast<double>(built->cost_ns) + cfg.dp.per_byte_ns * frame;
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& cfg) {

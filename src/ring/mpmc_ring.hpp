@@ -153,4 +153,8 @@ class MpmcRing {
   alignas(kCacheLine) std::atomic<std::uint64_t> dequeue_pos_{0};
 };
 
+static_assert(alignof(MpmcRing<void*>) == kCacheLine &&
+                  sizeof(MpmcRing<void*>) == 3 * kCacheLine,
+              "MpmcRing positions must sit on their own cache lines");
+
 }  // namespace mdp::ring

@@ -12,17 +12,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <span>
+
+#include "stats/cacheline.hpp"
 
 namespace mdp::ring {
 
-#if defined(__cpp_lib_hardware_interference_size)
-inline constexpr std::size_t kCacheLine =
-    std::hardware_destructive_interference_size;
-#else
-inline constexpr std::size_t kCacheLine = 64;
-#endif
+/// The fixed 64-byte line every padded layout in the tree uses.
+inline constexpr std::size_t kCacheLine = stats::kCacheLineSize;
 
 template <typename T>
 class SpscRing {
@@ -119,5 +116,10 @@ class SpscRing {
   alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};  // producer cursor
   alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};  // consumer cursor
 };
+
+// mask_ + slots_ share the first line; each cursor owns the next one.
+static_assert(alignof(SpscRing<void*>) == kCacheLine &&
+                  sizeof(SpscRing<void*>) == 3 * kCacheLine,
+              "SpscRing cursors must sit on their own cache lines");
 
 }  // namespace mdp::ring

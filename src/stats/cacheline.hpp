@@ -1,8 +1,10 @@
 // Cache-line geometry for hot-path data layout.
 //
-// kCacheLineSize is std::hardware_destructive_interference_size when the
-// toolchain provides it (the span two threads must not share without
-// paying coherence traffic), else the x86-64/ARM64 conventional 64.
+// kCacheLineSize is a fixed 64 bytes, the x86-64 / ARM64 line: the span
+// two threads must not share without paying coherence traffic. It is not
+// std::hardware_destructive_interference_size, whose value follows
+// -mtune, so a header padded with it could lay out differently in two
+// builds of the same source (GCC warns with -Winterference-size).
 // PaddedAtomicU64 places one counter per line so adjacent per-path
 // counters written by different threads (the collector's completion
 // counts, the monitor's window accumulators) never false-share — the
@@ -12,16 +14,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 
 namespace mdp::stats {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLineSize =
-    std::hardware_destructive_interference_size;
-#else
 inline constexpr std::size_t kCacheLineSize = 64;
-#endif
 
 /// One 64-bit atomic counter alone on its destructive-interference line.
 /// Drop-in for arrays of adjacent hot counters written from different
@@ -30,8 +26,8 @@ struct alignas(kCacheLineSize) PaddedAtomicU64 {
   std::atomic<std::uint64_t> v{0};
 };
 
-static_assert(sizeof(PaddedAtomicU64) >= kCacheLineSize,
-              "padding must cover a full interference line");
+static_assert(sizeof(PaddedAtomicU64) == kCacheLineSize,
+              "padding must cover exactly one interference line");
 static_assert(alignof(PaddedAtomicU64) == kCacheLineSize,
               "each counter must start on its own line");
 

@@ -4,7 +4,10 @@
 // them; redundancy costs throughput headroom).
 #include <gtest/gtest.h>
 
+#include "core/dataplane.hpp"
 #include "harness/experiment.hpp"
+#include "net/headers.hpp"
+#include "nf/chain.hpp"
 
 namespace mdp::harness {
 namespace {
@@ -38,6 +41,32 @@ TEST(Harness, MeanServiceReflectsChainChoice) {
   ScenarioConfig b = small_scenario("jsq");
   b.chain = "full";
   EXPECT_GT(mean_service_ns(b), mean_service_ns(a) * 3);
+}
+
+TEST(Harness, MeanServiceEqualsAOnePathPlanesChainCost) {
+  // mean_service_ns reads the chain cost from build_chain alone; it must
+  // equal what a built plane charges: a 1-path plane's chain_cost_ns()
+  // plus the per-byte term over the mean frame.
+  for (const std::string& chain : nf::ChainSpec::preset_names()) {
+    ScenarioConfig cfg = small_scenario("jsq");
+    cfg.chain = chain;
+    cfg.dp.per_byte_ns = 0.37;
+    sim::EventQueue eq;
+    net::PacketPool pool(8, 2048);
+    core::DataPlaneConfig dpc = cfg.dp;
+    dpc.num_paths = 1;
+    dpc.chain = cfg.chain;
+    core::MdpDataPlane plane(eq, pool, dpc, core::make_scheduler("single"));
+    const double frame = net::kEthernetHeaderLen + net::kIpv4MinHeaderLen +
+                         net::kUdpHeaderLen + cfg.mean_payload;
+    EXPECT_EQ(mean_service_ns(cfg),
+              static_cast<double>(plane.chain_cost_ns()) +
+                  cfg.dp.per_byte_ns * frame)
+        << chain;
+  }
+  ScenarioConfig bad = small_scenario("jsq");
+  bad.chain = "no-such-chain";
+  EXPECT_THROW(mean_service_ns(bad), std::runtime_error);
 }
 
 TEST(Harness, InterferenceInflatesSinglePathTailNotMultipath) {

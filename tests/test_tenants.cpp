@@ -1,6 +1,7 @@
 // Tenancy tier tests (docs/TENANCY.md): the classifier, the bounded-memory
 // FlowTable (second-chance eviction, per-tenant caps, pinning, the 1M-flow
-// memory bound), the ConnStorm workload's determinism contract, and the
+// memory bound, a differential run against the frozen slot-array table),
+// the ConnStorm workload's determinism contract, and the
 // ctrl tenant stage — TenantStateMachine hysteresis edges, TenantAdmission
 // gating/budgets/harvest, per-tenant SLO classes through SloMonitor slot
 // targets, and the Controller integration (decision log, report schema,
@@ -12,11 +13,13 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "ctrl/controller.hpp"
 #include "ctrl/tenant.hpp"
+#include "flow_table_reference.hpp"
 #include "net/tenant.hpp"
 #include "nf/flow_table.hpp"
 #include "sim/rng.hpp"
@@ -232,6 +235,148 @@ TEST(FlowTable, ChurnPropertyMatchesReferenceModel) {
   }
 }
 
+// FlowTable against the frozen slot-array table
+// (tests/flow_table_reference.hpp). One seeded stream of every public call
+// drives both; every answer, the evict-callback log, the for_each and
+// erase_if visit orders and every counter must match. Small capacities
+// make probe chains wrap around the slot array; 100k ops per run fire the
+// clock hand through caps, pins and capacity pressure.
+
+using Visit = std::tuple<std::uint32_t, std::uint64_t, std::uint16_t>;
+
+Visit visit_of(const net::FlowKey& k, std::uint64_t v, std::uint16_t tenant) {
+  return {k.src_ip - 0x0b000000, v, tenant};  // flow_n inverse
+}
+
+template <typename Table>
+std::vector<Visit> visit_order(const Table& t) {
+  std::vector<Visit> out;
+  t.for_each([&](const net::FlowKey& k, const std::uint64_t& v,
+                 std::uint16_t tenant) {
+    out.push_back(visit_of(k, v, tenant));
+  });
+  return out;
+}
+
+template <typename Table>
+std::vector<std::uint64_t> counters_of(const Table& t,
+                                       std::uint16_t tenants) {
+  std::vector<std::uint64_t> c = {t.size(), t.full(), t.evictions(),
+                                  t.cap_rejections(), t.pinned_deferrals()};
+  for (std::uint16_t ten = 0; ten < tenants; ++ten) {
+    c.push_back(t.tenant_occupancy(ten));
+    c.push_back(t.tenant_cap(ten));
+  }
+  return c;
+}
+
+void run_flow_table_differential(std::size_t capacity, std::uint64_t seed,
+                                  std::uint64_t* rejections) {
+  const std::string where =
+      "capacity " + std::to_string(capacity) + " seed " + std::to_string(seed);
+  constexpr int kOps = 100'000;
+  constexpr std::uint16_t kTenants = 4;
+  const auto universe = static_cast<std::uint32_t>(capacity * 2 + 5);
+  sim::Rng rng(seed);
+  nf::FlowTable<std::uint64_t> t(capacity);
+  nf::reference::SlotFlowTable<std::uint64_t> ref(capacity);
+  std::vector<Visit> t_evicted, ref_evicted;
+  t.set_evict_callback([&](const net::FlowKey& k, const std::uint64_t& v,
+                           std::uint16_t tenant) {
+    t_evicted.push_back(visit_of(k, v, tenant));
+  });
+  ref.set_evict_callback([&](const net::FlowKey& k, const std::uint64_t& v,
+                             std::uint16_t tenant) {
+    ref_evicted.push_back(visit_of(k, v, tenant));
+  });
+  const auto set_cap = [&](std::uint16_t tenant, std::size_t cap) {
+    t.set_tenant_cap(tenant, cap);
+    ref.set_tenant_cap(tenant, cap);
+  };
+  set_cap(1, std::max<std::size_t>(1, capacity / 4));
+  set_cap(2, std::max<std::size_t>(1, capacity / 2));
+
+  for (int op = 0; op < kOps; ++op) {
+    const net::FlowKey k =
+        flow_n(static_cast<std::uint32_t>(rng.uniform_u64(universe)));
+    const auto tenant = static_cast<std::uint16_t>(rng.uniform_u64(kTenants));
+    const std::uint64_t roll = rng.uniform_u64(10'000);
+    bool same = true;
+    if (roll < 5'000) {
+      const std::uint64_t v = rng.next_u64();
+      const std::uint64_t* a = t.insert(k, tenant, v);
+      const std::uint64_t* b = ref.insert(k, tenant, v);
+      same = (a == nullptr) == (b == nullptr) &&
+             (a == nullptr || (*a == v && *b == v));
+    } else if (roll < 6'500) {
+      const std::uint64_t* a = t.find(k);
+      const std::uint64_t* b = ref.find(k);
+      same = (a == nullptr) == (b == nullptr) && (a == nullptr || *a == *b);
+    } else if (roll < 7'300) {
+      const std::uint64_t* a = t.peek(k);
+      const std::uint64_t* b = ref.peek(k);
+      same = (a == nullptr) == (b == nullptr) && (a == nullptr || *a == *b);
+    } else if (roll < 7'900) {
+      same = t.erase(k) == ref.erase(k);
+    } else if (roll < 8'700) {
+      same = t.pin(k) == ref.pin(k);
+    } else if (roll < 9'000) {
+      same = t.unpin(k) == ref.unpin(k);
+    } else if (roll < 9'300) {
+      same = t.evict_one() == ref.evict_one();
+    } else if (roll < 9'600) {
+      same = t.evict_one(tenant) == ref.evict_one(tenant);
+    } else if (roll < 9'620) {  // idle expiry; the predicate sees slot order
+      const std::uint64_t r = rng.uniform_u64(32);
+      std::vector<Visit> t_seen, ref_seen;
+      const std::size_t a = t.erase_if([&](const net::FlowKey& key,
+                                           const std::uint64_t& v,
+                                           std::uint16_t ten) {
+        t_seen.push_back(visit_of(key, v, ten));
+        return v % 32 == r;
+      });
+      const std::size_t b = ref.erase_if([&](const net::FlowKey& key,
+                                             const std::uint64_t& v,
+                                             std::uint16_t ten) {
+        ref_seen.push_back(visit_of(key, v, ten));
+        return v % 32 == r;
+      });
+      same = a == b && t_seen == ref_seen;
+    } else if (roll < 9'720) {
+      same = visit_order(t) == visit_order(ref);
+    } else if (roll < 9'998) {
+      // Small caps make a tenant of only pinned entries (a rejection)
+      // likely at every capacity; large ones leave room to compete.
+      set_cap(tenant, rng.uniform_u64(2) ? rng.uniform_u64(8)
+                                         : rng.uniform_u64(capacity / 2 + 1));
+    } else {
+      t.clear();
+      ref.clear();
+    }
+    ASSERT_TRUE(same) << where << " op " << op << " roll " << roll;
+    ASSERT_EQ(counters_of(t, kTenants), counters_of(ref, kTenants))
+        << where << " op " << op;
+    ASSERT_EQ(t_evicted.size(), ref_evicted.size()) << where << " op " << op;
+  }
+  EXPECT_EQ(t_evicted, ref_evicted) << where;
+  EXPECT_EQ(visit_order(t), visit_order(ref)) << where;
+  // The stream reached every path it is meant to compare. Pinned-only
+  // rejections are rare at capacity 512 and counted over the sweep.
+  EXPECT_GT(t.evictions(), 1'000u) << where;
+  EXPECT_GT(t.pinned_deferrals(), 0u) << where;
+  *rejections += t.cap_rejections();
+}
+
+TEST(FlowTable, DifferentialAgainstSlotArrayReference) {
+  std::uint64_t rejections = 0;
+  for (std::size_t capacity : {2, 64, 512})
+    for (std::uint64_t seed : {5ull, 1234ull, 990001ull}) {
+      run_flow_table_differential(capacity, seed, &rejections);
+      if (HasFatalFailure()) return;
+    }
+  EXPECT_GT(rejections, 0u);
+}
+
 TEST(FlowTable, MillionFlowsBoundedMemory) {
   // The tenancy tier's sizing claim: 1M+ concurrent flows in one table,
   // memory fixed at construction — churn past capacity recycles in place.
@@ -239,7 +384,13 @@ TEST(FlowTable, MillionFlowsBoundedMemory) {
   nf::FlowTable<std::uint64_t> t(kCap);
   const std::size_t slots_before = t.capacity();
   constexpr std::uint32_t kInserts = kCap + (kCap >> 2);  // 1.25M
-  for (std::uint32_t i = 0; i < kInserts; ++i)
+  const std::uint64_t* first = t.insert(flow_n(0), 0, 0);
+  for (std::uint32_t i = 1; i < kCap; ++i)
+    ASSERT_NE(t.insert(flow_n(i), i & 3, i), nullptr);
+  // Filling to capacity erases nothing, so no value may have moved: the
+  // entry storage was reserved once and never reallocates.
+  EXPECT_EQ(t.peek(flow_n(0)), first);
+  for (std::uint32_t i = kCap; i < kInserts; ++i)
     ASSERT_NE(t.insert(flow_n(i), i & 3, i), nullptr);
   EXPECT_EQ(t.size(), kCap);
   EXPECT_EQ(t.capacity(), slots_before);  // no rehash, no growth
