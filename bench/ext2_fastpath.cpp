@@ -94,12 +94,12 @@ BurstRow run_burst(std::size_t burst, std::uint64_t target_packets,
 }
 
 // Loopback-backend row: real frames over the in-memory wire, recirculated
-// through pump() — peer tx -> plane rx -> dispatch -> worker -> collector
-// -> plane tx -> peer rx -> peer re-tx. Measures the full backend I/O path
-// (rx_burst/tx_burst, PacketPtr hand-off, egress ring) that the synthetic
-// rows bypass. The peer keeps ~half the frame pool circulating and tops
-// the window back up from the pool, so transient admission rejects can
-// never starve the loop.
+// through pump() — peer tx -> plane rx -> dispatch -> worker -> pump()
+// retires -> plane tx -> peer rx -> peer re-tx. Measures the full backend
+// I/O path (rx_burst/tx_burst, PacketPtr hand-off, completion drain on the
+// caller thread) that the synthetic rows bypass. The peer keeps ~half the
+// frame pool circulating and tops the window back up from the pool, so
+// transient admission rejects can never starve the loop.
 BurstRow run_burst_loopback(std::size_t burst,
                             std::uint64_t target_packets) {
   net::PacketPool pool(4096, 2048, /*allow_growth=*/false);
@@ -140,7 +140,7 @@ BurstRow run_burst_loopback(std::size_t burst,
       for (std::size_t i = sent; i < n; ++i) got[i].reset();
     } else if (admitted == 0) {
       // Starved iteration: frames are parked in path rings waiting for a
-      // worker/collector timeslice. Donate ours instead of spinning a
+      // worker timeslice. Donate ours instead of spinning a
       // full quantum against them (decisive on single-core runners).
       std::this_thread::yield();
     }

@@ -1,5 +1,6 @@
 #include "core/threaded_dataplane.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -12,7 +13,7 @@ ThreadedDataPlane::ThreadedDataPlane(ThreadedConfig cfg,
     : cfg_(cfg),
       on_complete_(std::move(on_complete)),
       done_ring_(std::make_unique<ring::MpmcRing<Slot*>>(
-          cfg.ring_capacity * cfg.num_paths)),
+          std::max(cfg.ring_capacity * cfg.num_paths, cfg.pool_size))),
       free_ring_(std::make_unique<ring::MpmcRing<Slot*>>(cfg.pool_size)),
       slots_(cfg.pool_size),
       work_buf_(cfg.payload_bytes, 0xa5),
@@ -39,12 +40,7 @@ ThreadedDataPlane::ThreadedDataPlane(ThreadedConfig cfg,
     stage_[p].reserve(kMaxBurst);
   }
   for (auto& s : slots_) free_ring_->try_push(&s);
-  if (cfg_.backend) {
-    // Sized to the slot population: a collector push can never fail.
-    egress_ring_ =
-        std::make_unique<ring::SpscRing<Slot*>>(cfg_.pool_size);
-    tx_pending_.reserve(kMaxBurst);
-  }
+  if (cfg_.backend) tx_pending_.reserve(kMaxBurst);
 }
 
 ThreadedDataPlane::~ThreadedDataPlane() {
@@ -71,7 +67,8 @@ void ThreadedDataPlane::start() {
   workers_done_.store(false);
   for (std::size_t p = 0; p < cfg_.num_paths; ++p)
     workers_.emplace_back([this, p] { worker_loop(p); });
-  collector_ = std::thread([this] { collector_loop(); });
+  // Backend mode retires on the caller thread, inside pump().
+  if (!cfg_.backend) collector_ = std::thread([this] { collector_loop(); });
 }
 
 bool ThreadedDataPlane::ingress(std::uint64_t flow_hash) {
@@ -189,26 +186,11 @@ std::size_t ThreadedDataPlane::pump() {
   io::PacketBackend* backend = cfg_.backend;
   if (!backend) return 0;
 
-  // 1. Collector -> backend egress: detach completed frames from their
-  //    slots (slots go straight back to the free ring), then hand as many
-  //    as the backend will take. Unconsumed frames wait in tx_pending_.
-  Slot* done[kMaxBurst];
-  std::size_t drained;
-  while ((drained = egress_ring_->try_pop_burst(
-              std::span<Slot*>(done, kMaxBurst))) > 0) {
-    for (std::size_t i = 0; i < drained; ++i) {
-      // Stamp the internal path that served the frame: downstream fault
-      // lanes and per-path telemetry key on anno().path_id, which is how
-      // the controller's observations attribute back to our paths.
-      done[i]->pkt->anno().path_id = done[i]->path;
-      tx_pending_.emplace_back(done[i]->pkt);
-      done[i]->pkt = nullptr;
-    }
-    std::size_t back = 0;
-    while (back < drained)
-      back += free_ring_->try_push_burst(
-          std::span<Slot*>(done + back, drained - back));
-  }
+  // 1. Workers -> backend egress: retire every completed burst (its
+  //    frames move to tx_pending_, its slots back to the free ring), then
+  //    hand as many frames as the backend will take. Unconsumed frames
+  //    wait in tx_pending_.
+  drain_completions();
   if (!tx_pending_.empty()) {
     const std::size_t sent = backend->tx_burst(
         std::span<net::PacketPtr>(tx_pending_.data(), tx_pending_.size()));
@@ -310,79 +292,86 @@ void ThreadedDataPlane::worker_loop(std::size_t path) {
 }
 
 void ThreadedDataPlane::collector_loop() {
-  Slot* burst[kMaxBurst];
-  Slot* recycle[kMaxBurst];
-  const std::size_t burst_cap = cfg_.burst_size;
   while (true) {
-    const std::size_t n =
-        done_ring_->try_pop_burst(std::span<Slot*>(burst, burst_cap));
-    if (n == 0) {
-      // Only exit once every worker has been joined (workers_done_), so no
-      // completion can still be in flight between a path ring and done_ring_.
-      if (workers_done_.load(std::memory_order_acquire)) break;
-      std::this_thread::yield();
-      continue;
-    }
-    // One clock read per drained burst; slot stamps were written by the
-    // worker before the done_ring_ push (release) and read after the pop
-    // (acquire) — no race.
-    const std::uint64_t now = now_ns();
-    std::size_t num_recycle = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot* slot = burst[i];
-      const std::uint64_t latency = now - slot->enqueue_ns;
-      if (cfg_.record_stage_hist) {
-        const std::uint64_t service_span = slot->done_ns >= slot->dequeue_ns
-                                               ? slot->done_ns - slot->dequeue_ns
-                                               : 0;
-        const std::uint16_t burst_n = slot->burst_n ? slot->burst_n : 1;
-        queue_wait_hist_.record(slot->dequeue_ns >= slot->enqueue_ns
-                                    ? slot->dequeue_ns - slot->enqueue_ns
-                                    : 0);
-        // Attributed share: the burst's span divided over its members,
-        // not the whole span per member (batch-aware attribution).
-        service_hist_.record(service_span / burst_n);
-        merge_wait_hist_.record(now >= slot->done_ns ? now - slot->done_ns
-                                                     : 0);
-        trace::SpanRecord sp;
-        sp.ingress_ns = slot->enqueue_ns;
-        sp.dispatch_ns = slot->enqueue_ns;
-        sp.service_start_ns = slot->dequeue_ns;
-        sp.service_end_ns = slot->done_ns;
-        sp.chain_done_ns = slot->done_ns;
-        sp.merge_ns = now;
-        sp.egress_ns = now;
-        sp.flow_id = slot->flow_id;
-        sp.seq = slot->seq;
-        sp.path_id = slot->path;
-        sp.burst_size = burst_n;
-        sp.burst_pos = slot->burst_pos;
-        sp.active = true;
-        exemplars_.offer(sp);
-        if (span_observer_) span_observer_(sp);
-      }
-      if (on_complete_) on_complete_(latency, slot->path);
-      path_completed_[slot->path].v.fetch_add(1, std::memory_order_release);
-      if (slot->pkt) {
-        // Frame completions travel to the caller thread, which owns all
-        // backend/pool interaction; egress_ring_ is slot-pool sized so
-        // this push cannot fail.
-        while (!egress_ring_->try_push(slot)) {
-        }
-      } else {
-        recycle[num_recycle++] = slot;
-      }
-    }
-    completed_.fetch_add(n, std::memory_order_relaxed);
-    if (egress_chan_)
-      egress_chan_->emit(now, telem::EventType::kEgressBurst,
-                         telem::kAllPaths, static_cast<std::uint32_t>(n),
-                         completed_.load(std::memory_order_relaxed));
-    std::size_t back = 0;
-    while (back < num_recycle)
-      back += free_ring_->try_push_burst(
-          std::span<Slot*>(recycle + back, num_recycle - back));
+    // Read the flag before draining: once it reads true every worker has
+    // been joined, so the drain that follows sees every completion, and
+    // only an empty drain after it means none can still arrive.
+    const bool done = workers_done_.load(std::memory_order_acquire);
+    if (drain_completions() > 0) continue;
+    if (done) break;
+    std::this_thread::yield();
   }
+}
+
+std::size_t ThreadedDataPlane::drain_completions() {
+  Slot* burst[kMaxBurst];
+  std::size_t total = 0;
+  while (const std::size_t n = done_ring_->try_pop_burst(
+             std::span<Slot*>(burst, cfg_.burst_size))) {
+    retire_burst(burst, n);
+    total += n;
+  }
+  return total;
+}
+
+void ThreadedDataPlane::retire_burst(Slot** burst, std::size_t n) {
+  // One clock read per drained burst; slot stamps were written by the
+  // worker before the done_ring_ push (release) and read after the pop
+  // (acquire) — no race.
+  const std::uint64_t now = now_ns();
+  for (std::size_t i = 0; i < n; ++i) {
+    Slot* slot = burst[i];
+    if (cfg_.record_stage_hist) {
+      const std::uint64_t service_span = slot->done_ns >= slot->dequeue_ns
+                                             ? slot->done_ns - slot->dequeue_ns
+                                             : 0;
+      const std::uint16_t burst_n = slot->burst_n ? slot->burst_n : 1;
+      queue_wait_hist_.record(slot->dequeue_ns >= slot->enqueue_ns
+                                  ? slot->dequeue_ns - slot->enqueue_ns
+                                  : 0);
+      // Attributed share: the burst's span divided over its members,
+      // not the whole span per member (batch-aware attribution).
+      service_hist_.record(service_span / burst_n);
+      merge_wait_hist_.record(now >= slot->done_ns ? now - slot->done_ns : 0);
+      trace::SpanRecord sp;
+      sp.ingress_ns = slot->enqueue_ns;
+      sp.dispatch_ns = slot->enqueue_ns;
+      sp.service_start_ns = slot->dequeue_ns;
+      sp.service_end_ns = slot->done_ns;
+      sp.chain_done_ns = slot->done_ns;
+      sp.merge_ns = now;
+      sp.egress_ns = now;
+      sp.flow_id = slot->flow_id;
+      sp.seq = slot->seq;
+      sp.path_id = slot->path;
+      sp.burst_size = burst_n;
+      sp.burst_pos = slot->burst_pos;
+      sp.active = true;
+      exemplars_.offer(sp);
+      if (span_observer_) span_observer_(sp);
+    }
+    if (on_complete_) on_complete_(now - slot->enqueue_ns, slot->path);
+    path_completed_[slot->path].v.fetch_add(1, std::memory_order_release);
+    if (slot->pkt) {
+      // Only backend-mode slots carry a frame, and backend mode retires on
+      // the caller thread, which owns tx_pending_ and the pools. Stamp the
+      // internal path that served the frame: downstream fault lanes and
+      // per-path telemetry key on anno().path_id, which is how the
+      // controller's observations attribute back to our paths.
+      slot->pkt->anno().path_id = slot->path;
+      tx_pending_.emplace_back(slot->pkt);
+      slot->pkt = nullptr;
+    }
+  }
+  completed_.fetch_add(n, std::memory_order_relaxed);
+  if (egress_chan_)
+    egress_chan_->emit(now, telem::EventType::kEgressBurst, telem::kAllPaths,
+                       static_cast<std::uint32_t>(n),
+                       completed_.load(std::memory_order_relaxed));
+  std::size_t back = 0;
+  while (back < n)
+    back +=
+        free_ring_->try_push_burst(std::span<Slot*>(burst + back, n - back));
 }
 
 void ThreadedDataPlane::stop() {
@@ -392,18 +381,13 @@ void ThreadedDataPlane::stop() {
   workers_done_.store(true, std::memory_order_release);
   if (collector_.joinable()) collector_.join();
   workers_.clear();
-  if (cfg_.backend && egress_ring_) {
-    // Final egress pass on the caller thread: offer what remains to the
-    // backend once, then return anything it refuses to its packet pool.
-    // The backend itself stays up — the caller owns its lifetime.
-    Slot* done = nullptr;
-    while (egress_ring_->try_pop(done)) {
-      done->pkt->anno().path_id = done->path;
-      tx_pending_.emplace_back(done->pkt);
-      done->pkt = nullptr;
-      while (!free_ring_->try_push(done)) {
-      }
-    }
+  if (cfg_.backend) {
+    // Final egress pass on the caller thread: retire what the workers
+    // finished last (done_ring_ holds every slot, so no worker blocked on
+    // it while we joined), offer every frame to the backend once, then
+    // return anything it refuses to its packet pool. The backend itself
+    // stays up — the caller owns its lifetime.
+    drain_completions();
     if (!tx_pending_.empty()) {
       cfg_.backend->tx_burst(std::span<net::PacketPtr>(
           tx_pending_.data(), tx_pending_.size()));

@@ -3,30 +3,36 @@
 // One ingress (caller) thread dispatches packets onto per-path SPSC rings;
 // one worker thread per path pops its ring, performs the per-packet work
 // (a real checksum pass over the payload, calibrated to the requested
-// service time), and pushes to a shared MPMC completion ring; a collector
-// thread reports per-packet latency via callback. Every policy is
-// single-copy, so the collector needs no merge; it does not run core::Merge
-// yet because the ReorderBuffer times out on a sim::EventQueue, not on a
-// clock the collector could pass in. Dispatch honors the control plane's
-// path admission through core::AdmissionSet.
+// service time), and pushes to a shared MPMC completion ring. The thread
+// that drains that ring retires each burst through one routine, which
+// reports per-packet latency via callback: a collector thread in synthetic
+// mode, the caller inside pump() in backend mode (see "Packet sources").
+// Every policy is single-copy, so retirement needs no merge; it does not
+// run core::Merge yet because the ReorderBuffer times out on a
+// sim::EventQueue, not on a clock pump() could pass in. Dispatch honors
+// the control plane's path admission through core::AdmissionSet.
 //
 // The hot path is burst-oriented end-to-end, DPDK style: ingress_burst()
 // admits up to a burst of packets with the dispatch policy and timestamp
 // bookkeeping amortized to once per burst, workers pop their ring in bursts
-// of cfg.burst_size and push completions in bursts, and the collector
-// drains/recycles in bursts. burst_size = 1 degenerates to the per-packet
-// behavior; the per-packet ingress() entry point is kept for callers that
-// arrive one packet at a time.
+// of cfg.burst_size and push completions in bursts, and completions are
+// drained, retired and recycled in bursts. burst_size = 1 degenerates to
+// the per-packet behavior; the per-packet ingress() entry point is kept
+// for callers that arrive one packet at a time.
 //
 // Packet sources. Two ways to feed the plane:
 //   - ingress()/ingress_burst(flow_hashes): the legacy synthetic mode —
-//     no frames, per-packet work runs over a scratch payload buffer.
+//     no frames, per-packet work runs over a scratch payload buffer. A
+//     collector thread retires completions in parallel with ingress; no
+//     frame has to come back to the caller.
 //   - cfg.backend + pump(): real frames. pump(), called repeatedly from
-//     the caller thread, rx_bursts frames from the io::PacketBackend,
-//     dispatches them by anno().flow_hash, and tx_bursts completed frames
-//     back out. All backend and pool interaction stays on the caller
-//     thread (pools are single-threaded); workers only read frame bytes,
-//     the collector only routes slots. See docs/IO_BACKENDS.md.
+//     the caller thread, drains the workers' completions and tx_bursts
+//     their frames back out, then rx_bursts frames from the
+//     io::PacketBackend and dispatches them by anno().flow_hash. No
+//     collector runs: a frame crosses two thread handoffs (caller ->
+//     worker -> caller), and all backend and pool interaction stays on
+//     the caller thread (pools are single-threaded); workers only read
+//     frame bytes. See docs/IO_BACKENDS.md.
 //
 // This is NOT the experiment vehicle (the discrete-event model is, see
 // MdpDataPlane) — it validates that the data-path building blocks (rings,
@@ -63,13 +69,14 @@ struct ThreadedConfig {
   /// "rr" | "hash"; any other string means jsq. Parsed once, at
   /// construction.
   std::string policy = "jsq";
-  /// Ring-drain burst for workers and the collector, and the admission
-  /// unit of ingress_burst (clamped to [1, kMaxBurst]). 1 = per-packet.
+  /// Ring-drain burst for workers and for completion retirement, and the
+  /// admission unit of ingress_burst (clamped to [1, kMaxBurst]).
+  /// 1 = per-packet.
   std::size_t burst_size = 32;
   /// Attribute each packet's latency to ring wait / service / collection.
   /// Stage boundaries are stamped once per burst (two extra clock reads
   /// per *burst* on the worker); each packet's service sample is its
-  /// attributed share (burst span / burst population), and the collector
+  /// attributed share (burst span / burst population), and retirement
   /// captures burst-aware exemplars (see exemplars()). Off for pure
   /// throughput benchmarking.
   bool record_stage_hist = false;
@@ -80,27 +87,31 @@ struct ThreadedConfig {
   io::PacketBackend* backend = nullptr;
   /// Flight recorder (non-owning; must outlive the plane). When set,
   /// the plane emits one kIngressBurst event per admitted burst on the
-  /// caller thread ("dp.ingress"), one kEgressBurst per drained burst
-  /// on the collector thread ("dp.collector"), and kAdmissionFlip on
-  /// every set_path_admission — the ext2 telem-on rows bound what this
-  /// costs (~one emit per burst, amortized sub-ns/packet).
+  /// caller thread ("dp.ingress"), one kEgressBurst per retired burst
+  /// on the retiring thread ("dp.collector": the collector thread in
+  /// synthetic mode, the pump() caller in backend mode), and
+  /// kAdmissionFlip on every set_path_admission — the ext2 telem-on rows
+  /// bound what this costs (~one emit per burst, amortized sub-ns/packet).
   telem::FlightRecorder* recorder = nullptr;
 };
 
 class ThreadedDataPlane {
  public:
-  /// Hard cap on a single burst (ingress, worker pop, collector drain).
+  /// Hard cap on a single burst (ingress, worker pop, completion drain).
   static constexpr std::size_t kMaxBurst = 256;
 
-  /// Called on the collector thread for every completed packet.
+  /// Called for every completed packet: on the collector thread in
+  /// synthetic mode, on the thread that calls pump()/stop() in backend
+  /// mode.
   using Completion =
       std::function<void(std::uint64_t latency_ns, std::uint16_t path)>;
 
-  /// Called on the collector thread with every completed packet's full
-  /// stage-attributed span (requires cfg.record_stage_hist). The hook for
-  /// control planes that want stage evidence, not just scalars — feed
-  /// ctrl::SloMonitor::observe_span here. The observer must be safe to
-  /// call from the collector thread (SloMonitor's windows are).
+  /// Called with every completed packet's full stage-attributed span
+  /// (requires cfg.record_stage_hist), on the same thread as Completion.
+  /// The hook for control planes that want stage evidence, not just
+  /// scalars — feed ctrl::SloMonitor::observe_span here. In synthetic
+  /// mode the observer must be safe to call from the collector thread
+  /// (SloMonitor's windows are).
   using SpanObserver = std::function<void(const trace::SpanRecord&)>;
 
   explicit ThreadedDataPlane(ThreadedConfig cfg, Completion on_complete);
@@ -109,11 +120,13 @@ class ThreadedDataPlane {
   ThreadedDataPlane(const ThreadedDataPlane&) = delete;
   ThreadedDataPlane& operator=(const ThreadedDataPlane&) = delete;
 
-  /// Launch worker + collector threads (and start the backend, if any).
+  /// Launch one worker thread per path, plus the collector thread in
+  /// synthetic mode (cfg.backend unset); with a backend, start it and
+  /// launch no collector — pump() retires completions.
   void start();
 
   /// Install the span observer. Must be called before start() — the
-  /// collector thread reads it unsynchronized.
+  /// collector thread (synthetic mode) reads it unsynchronized.
   void set_span_observer(SpanObserver obs) { span_observer_ = std::move(obs); }
 
   /// Submit one packet from the caller thread. Returns false if the
@@ -128,20 +141,21 @@ class ThreadedDataPlane {
   /// rejected()), not retried.
   std::size_t ingress_burst(std::span<const std::uint64_t> flow_hashes);
 
-  /// Backend mode, caller thread only: egress completed frames back
-  /// through the backend, then rx/admit up to cfg.burst_size new frames.
-  /// Returns the number admitted this call. Frames the slot pool or a
-  /// path ring could not absorb are returned to their packet pool and
-  /// counted in rejected().
+  /// Backend mode, caller thread only: retire the workers' completions
+  /// (callbacks, stage attribution, slot recycling) and egress their
+  /// frames back through the backend, then rx/admit up to cfg.burst_size
+  /// new frames. Returns the number admitted this call. Frames the slot
+  /// pool or a path ring could not absorb are returned to their packet
+  /// pool and counted in rejected().
   std::size_t pump();
 
-  /// Completed frames not yet handed back to the backend (backend mode).
-  /// Zero once pump() has been called after quiesce.
-  std::size_t egress_backlog() const noexcept {
-    return tx_pending_.size() + (egress_ring_ ? egress_ring_->size() : 0);
-  }
+  /// Retired frames the backend has not yet taken (backend mode). Zero
+  /// once pump() has been called after quiesce.
+  std::size_t egress_backlog() const noexcept { return tx_pending_.size(); }
 
   /// Wait until everything in flight has drained, then stop all threads.
+  /// In backend mode the caller retires what the workers finished last
+  /// and makes one final tx pass.
   void stop();
 
   std::uint64_t completed() const noexcept {
@@ -149,7 +163,7 @@ class ThreadedDataPlane {
   }
   std::uint64_t submitted() const noexcept { return submitted_; }
   std::uint64_t rejected() const noexcept { return rejected_; }
-  /// Packets accepted but not yet egressed. Exact once quiesced (after
+  /// Packets accepted but not yet retired. Exact once quiesced (after
   /// stop()); approximate while threads run. Zero at quiesce is the
   /// counter-equivalence invariant the burst path is validated against.
   std::uint64_t inflight() const noexcept {
@@ -185,9 +199,10 @@ class ThreadedDataPlane {
   std::uint64_t probe_credits(std::size_t p) const noexcept {
     return admission_.credits(p);
   }
-  /// Packets dispatched to `p` and not yet collected. Caller-thread
-  /// dispatch count minus the collector's atomic completion count: exact
-  /// at quiesce, a live estimate (never negative-wrapped below 0 in
+  /// Packets dispatched to `p` and not yet retired. Caller-thread
+  /// dispatch count minus the atomic per-path retirement count (written
+  /// by the collector in synthetic mode, by pump() in backend mode):
+  /// exact at quiesce, a live estimate (never negative-wrapped below 0 in
   /// practice: completions only trail dispatches) while running.
   std::uint64_t path_inflight(std::size_t p) const noexcept {
     const std::uint64_t done =
@@ -197,7 +212,7 @@ class ThreadedDataPlane {
   }
 
   // Stage attribution (valid when cfg.record_stage_hist; read after
-  // stop() — histograms and exemplars are written by the collector
+  // stop() — histograms and exemplars are written by the retiring
   // thread).
   /// Ingress enqueue -> worker burst pop (path ring wait).
   const stats::LatencyHistogram& queue_wait_hist() const noexcept {
@@ -209,7 +224,8 @@ class ThreadedDataPlane {
   const stats::LatencyHistogram& service_hist() const noexcept {
     return service_hist_;
   }
-  /// Burst work done -> collector burst pop (completion ring + merge wait).
+  /// Burst work done -> retirement burst pop (completion ring wait; in
+  /// backend mode that includes the wait for the caller's next pump()).
   const stats::LatencyHistogram& merge_wait_hist() const noexcept {
     return merge_wait_hist_;
   }
@@ -245,21 +261,31 @@ class ThreadedDataPlane {
   void reject_slot(Slot* slot);
   void worker_loop(std::size_t path);
   void collector_loop();
+  /// Per-burst completion bookkeeping, the one routine both modes retire
+  /// through: one clock read, stage histograms, exemplars, span observer,
+  /// on_complete_, per-path and total completion counts, one kEgressBurst
+  /// event; frames (backend mode only) get their path stamped and move to
+  /// tx_pending_; every slot goes back to the free ring.
+  void retire_burst(Slot** burst, std::size_t n);
+  /// Retire everything on done_ring_ in bursts; returns how many
+  /// completions it retired. Run by the collector loop in synthetic mode,
+  /// by pump() and stop() on the caller thread in backend mode.
+  std::size_t drain_completions();
   static std::uint64_t now_ns();
 
   ThreadedConfig cfg_;
   Completion on_complete_;
   std::vector<std::unique_ptr<ring::SpscRing<Slot*>>> path_rings_;
+  /// Worker -> retiring thread. Holds every slot (capacity >= pool_size),
+  /// so a worker push never fails for good: in backend mode stop() joins
+  /// the workers before it drains the ring.
   std::unique_ptr<ring::MpmcRing<Slot*>> done_ring_;
   std::unique_ptr<ring::MpmcRing<Slot*>> free_ring_;
-  /// Backend mode: collector -> caller handoff of completed frames
-  /// (capacity pool_size, so a push can never fail).
-  std::unique_ptr<ring::SpscRing<Slot*>> egress_ring_;
   std::vector<net::PacketPtr> tx_pending_;  ///< frames awaiting backend tx
   std::vector<Slot> slots_;
   std::vector<std::uint8_t> work_buf_;
   std::vector<std::thread> workers_;
-  std::thread collector_;
+  std::thread collector_;  ///< synthetic mode only
   std::atomic<bool> stopping_{false};
   std::atomic<bool> workers_done_{false};
   std::atomic<std::uint64_t> completed_{0};
@@ -269,17 +295,17 @@ class ThreadedDataPlane {
   std::size_t rr_next_ = 0;
   std::vector<std::uint64_t> path_counts_;
   // Control-plane state (caller thread only, mutated between bursts like
-  // every other dispatch input) + the collector's per-path completion
-  // counters that path_inflight() diffs against. The completion counters
-  // are padded one-per-line: the collector bumps neighboring paths'
+  // every other dispatch input) + the retiring thread's per-path
+  // completion counters that path_inflight() diffs against. The completion
+  // counters are padded one-per-line: retirement bumps neighboring paths'
   // counters back to back, and unpadded they'd share a line with each
-  // other (and the caller's reads) — the tab4 padded-vs-packed rows
-  // measure exactly this layout.
+  // other (and, in synthetic mode, the caller's reads) — the tab4
+  // padded-vs-packed rows measure exactly this layout.
   AdmissionSet admission_;
   std::unique_ptr<stats::PaddedAtomicU64[]> path_completed_;
   // Flight-recorder channels (nullptr when cfg.recorder is unset):
-  // ingress_chan_ is caller-thread only, egress_chan_ collector only —
-  // one writer per channel, as the recorder requires.
+  // ingress_chan_ is caller-thread only, egress_chan_ retiring-thread only
+  // — one writer per channel, as the recorder requires.
   telem::FlightRecorder::Channel* ingress_chan_ = nullptr;
   telem::FlightRecorder::Channel* egress_chan_ = nullptr;
   // ingress_burst/pump scratch (caller thread only): per-path staging and
@@ -289,8 +315,8 @@ class ThreadedDataPlane {
   stats::LatencyHistogram queue_wait_hist_;
   stats::LatencyHistogram service_hist_;
   stats::LatencyHistogram merge_wait_hist_;
-  trace::ExemplarReservoir exemplars_;  ///< collector thread only
-  SpanObserver span_observer_;          ///< set before start(); collector calls
+  trace::ExemplarReservoir exemplars_;  ///< retiring thread only
+  SpanObserver span_observer_;  ///< set before start(); retirement calls
 };
 
 }  // namespace mdp::core

@@ -78,8 +78,9 @@ class ThreadedPlaneActuator : public Actuator {
   std::uint64_t path_backlog(std::size_t path) const override {
     return dp_.path_inflight(path);
   }
-  /// The threaded plane's rings drain on their own while workers run;
-  /// rigs that put a wire behind the plane override this to flush it.
+  /// The threaded plane's path rings drain on their own while workers
+  /// run, and the pump() that follows retires what they finished; rigs
+  /// that put a wire behind the plane override this to flush it.
   void flush_path(std::size_t path) override { (void)path; }
 
  protected:

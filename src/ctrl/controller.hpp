@@ -5,8 +5,9 @@
 // the caller thread, interleaved with pump()/ingress at whatever cadence
 // the caller chooses. All controller state is caller-thread-only; the only
 // cross-thread traffic is the SloMonitor's atomic windows (written by
-// whoever observes completions — the threaded plane's collector, the sim
-// plane's egress callback) and the plane's own atomic counters. That is
+// whoever observes completions — the threaded plane's collector in
+// synthetic mode, its pump() caller in backend mode, the sim plane's
+// egress callback) and the plane's own atomic counters. That is
 // what makes test_ctrl's end-to-end case TSan-clean with workers running.
 //
 // Per tick, for every path:

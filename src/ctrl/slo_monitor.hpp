@@ -2,11 +2,12 @@
 // windows the Controller harvests once per tick.
 //
 // Design constraints, in order:
-//   1. observe() must be callable from ANY thread (the threaded plane's
-//      collector calls it from its Completion callback while the caller
-//      thread ticks the controller), so ingestion is lock-free: per-path
-//      arrays of relaxed atomic counters plus a log2 sub-bucketed window
-//      histogram. No shared non-atomic state, no locks — TSan-clean by
+//   1. observe() must be callable from ANY thread (in synthetic mode the
+//      threaded plane's collector calls it from its Completion callback
+//      while the caller thread ticks the controller; in backend mode
+//      pump() calls it on the caller thread), so ingestion is lock-free:
+//      per-path arrays of relaxed atomic counters plus a log2 sub-bucketed
+//      window histogram. No shared non-atomic state, no locks — TSan-clean by
 //      construction.
 //   2. harvest() drains a path's window (exchange-to-zero per bucket) and
 //      returns the interval summary: sample count, SLO violations, p99

@@ -6,9 +6,10 @@
 // -mtune, so a header padded with it could lay out differently in two
 // builds of the same source (GCC warns with -Winterference-size).
 // PaddedAtomicU64 places one counter per line so adjacent per-path
-// counters written by different threads (the collector's completion
-// counts, the monitor's window accumulators) never false-share — the
-// ROADMAP false-sharing item, quantified by tab4's padded-vs-packed rows.
+// counters written by different threads (the threaded plane's per-path
+// completion counts, the monitor's window accumulators) never false-share
+// — the ROADMAP false-sharing item, quantified by tab4's padded-vs-packed
+// rows.
 #pragma once
 
 #include <atomic>

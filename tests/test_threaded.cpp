@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -310,8 +311,10 @@ TEST(ThreadedDataPlane, PumpSyntheticBackendCounterEquivalence) {
 }
 
 // Backend pump mode over the loopback wire: real VXLAN-capable frames in
-// from a peer, through dispatch/workers/collector, and back out to the
-// peer — exactly once each, bytes parseable, pool fully recycled.
+// from a peer, through dispatch and the workers, retired by pump() and back
+// out to the peer — exactly once each, bytes parseable, pool fully
+// recycled. Backend mode runs no collector: every Completion and every
+// span-observer call happens on the thread that calls pump() / stop().
 TEST(ThreadedDataPlane, PumpLoopbackBackendRoundTripsRealFrames) {
   constexpr std::uint64_t kFrames = 2'000;
   constexpr std::uint32_t kFlows = 4;
@@ -323,7 +326,19 @@ TEST(ThreadedDataPlane, PumpLoopbackBackendRoundTripsRealFrames) {
   cfg.burst_size = 32;
   cfg.pool_size = 4096;
   cfg.backend = plane_end.get();
-  ThreadedDataPlane dp(cfg, nullptr);
+  cfg.record_stage_hist = true;
+  const std::thread::id caller = std::this_thread::get_id();
+  // Atomics only so that a plane calling back from another thread fails
+  // the checks below instead of racing on the counters.
+  std::atomic<std::uint64_t> completions{0}, spans{0}, off_caller{0};
+  ThreadedDataPlane dp(cfg, [&](std::uint64_t, std::uint16_t) {
+    completions.fetch_add(1);
+    if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+  });
+  dp.set_span_observer([&](const trace::SpanRecord&) {
+    spans.fetch_add(1);
+    if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+  });
   dp.start();
 
   std::set<std::pair<std::uint32_t, std::uint64_t>> echoed_ids;
@@ -384,6 +399,11 @@ TEST(ThreadedDataPlane, PumpLoopbackBackendRoundTripsRealFrames) {
 
   EXPECT_EQ(dp.submitted() + dp.rejected(), kFrames)
       << "every frame the peer sent reached admission";
+  EXPECT_EQ(dp.completed(), dp.submitted());
+  EXPECT_EQ(completions.load(), dp.completed());
+  EXPECT_EQ(spans.load(), dp.completed());
+  EXPECT_EQ(off_caller.load(), 0u)
+      << "backend mode retires completions on the pump()/stop() thread";
   EXPECT_EQ(echoed, dp.completed());
   EXPECT_EQ(echoed_ids.size(), echoed)
       << "each (flow, seq) came back exactly once";
